@@ -13,12 +13,12 @@ from .ffield import DEFAULT_MAX_Q, FqElem, FqField, build_field, element_sort_ke
 from .genus import (ComparisonReport, GenusField, as_descriptor,
                     clement_genus_field, compare, rarzvi_genus_field,
                     signed_closed_form_agrees, verify_degree_formula)
-from .groups import (RadicandGroup, SmithForm, determinant, enumerate_subgroup,
+from .groups import (RadicandGroup, SmithForm, enumerate_subgroup,
                      smith_normal_form)
 from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
                      PrimeBasis, RadicandVector, RamificationData, embed_group,
                      infinite_ramification, normalize, ramification_indices,
-                     ramification_lcm_oracle, union_basis)
+                     ramification_lcm_oracle)
 from .polyring import (MonicIrreducible, Poly, factor, gcd, is_irreducible,
                        poly_sort_key, pow_mod, squarefree_decomposition,
                        valuation, variable)
@@ -34,11 +34,11 @@ __all__ = [
     "NormalizedExtension", "ParseError", "Poly", "PrimeBasis", "RadicandGroup",
     "RadicandVector", "RamificationData", "Report", "SmithForm",
     "as_descriptor", "build_field", "clement_genus_field", "compare",
-    "determinant", "element_sort_key", "embed_group", "enumerate_subgroup",
-    "factor", "gcd", "infinite_ramification", "is_irreducible", "normalize",
-    "parse_input", "poly_sort_key", "pow_mod", "ramification_indices",
+    "element_sort_key", "embed_group", "enumerate_subgroup", "factor", "gcd",
+    "infinite_ramification", "is_irreducible", "normalize", "parse_input",
+    "poly_sort_key", "pow_mod", "ramification_indices",
     "ramification_lcm_oracle", "render_const", "render_job", "render_poly",
     "rarzvi_genus_field", "run", "signed_closed_form_agrees",
-    "smith_normal_form", "squarefree_decomposition", "union_basis",
-    "valuation", "variable", "verify_degree_formula",
+    "smith_normal_form", "squarefree_decomposition", "valuation", "variable",
+    "verify_degree_formula",
 ]

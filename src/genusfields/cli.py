@@ -3,7 +3,8 @@
 Subcommands: ``compute`` runs one job, ``compare`` is compute with the
 comparison section forced on, ``selftest`` runs the reduced property
 suites.  Exit codes: 0 success, 2 parse error, 3 invalid descriptor,
-4 internal invariant violation, 1 selftest failure.
+4 internal invariant violation, 5 I/O error (job file unreadable or
+output file unwritable), 1 selftest failure.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ def _add_job_options(sub):
                      help="include the ramification index over the infinite place")
     sub.add_argument("--output", default=None,
                      help="write the report to a file instead of standard output")
-    sub.add_argument("--parallel", action="store_true",
-                     help="evaluate the two genus fields on worker threads")
 
 
 def _build_parser():
@@ -64,8 +63,8 @@ def main(argv=None) -> int:
             with open(args.job, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            print(f"cannot read job file: {exc}", file=sys.stderr)
-            return 2
+            print(f"I/O error: cannot read job file: {exc}", file=sys.stderr)
+            return 5
 
     try:
         config = parse_input(text, strict=args.strict)
@@ -74,8 +73,7 @@ def main(argv=None) -> int:
         return 2
     config = replace(config, seed=args.seed, fmt=args.format,
                      strict=args.strict, include_infinite=args.infinite,
-                     include_comparison=(args.command == "compare"),
-                     parallel=args.parallel)
+                     include_comparison=(args.command == "compare"))
 
     try:
         report = run(config)
@@ -89,8 +87,12 @@ def main(argv=None) -> int:
     rendered = (report.to_json() if config.fmt == "json" else report.to_text())
     rendered += "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"I/O error: cannot write output file: {exc}", file=sys.stderr)
+            return 5
     else:
         sys.stdout.write(rendered)
     return 0

@@ -8,158 +8,138 @@ smallest element of order q - 1.  Coefficient vectors are written
 constant term first, and element coordinates refer to the power basis
 1, x, ..., x^(f-1) of the modulus.
 
-Discrete logarithms are always taken to the canonical generator.  For
-q up to 2^16 a full exponent/log table is built lazily and backs
-multiplication, division, powering and `dlog`; beyond that the field
-falls back to direct polynomial arithmetic, square-and-multiply
-powering and baby-step giant-step logarithms.  Everything is exact.
+Inside the package an element is an int code, its index in
+lexicographic coordinate order (:meth:`FqField.from_index`): the code of
+(c_0, ..., c_(f-1)) is c_0 p^(f-1) + ... + c_(f-1), so on prime fields
+it is the residue, 0 is zero and p^(f-1) is one.  This module is the
+only one that knows the coding.  :class:`FqElem` wraps a code for the
+public API, and the polynomial loops of :mod:`kernel` run on lists of
+codes through each field's code operations (``_add``, ``_neg``,
+``_mul``, ``_pow``, ``_int``, ``_prep``, ``_axpy``), bound on first use:
+
+- prime fields: residue arithmetic mod p;
+- f > 1 and q <= 2^16: ``array`` tables, built once per field.
+  ``_log[c]`` is the discrete log of code c, with ``_log[0] = 2(q-1)``
+  marking zero; ``_exp[k]`` is the code of g^(k mod (q-1)) for
+  k < 2(q-1) and 0 from 2(q-1) to 4(q-1), so ``_exp[_log[a] + _log[b]]``
+  is the code of a * b even when a or b is zero.  In characteristic 2
+  addition is XOR of codes; for odd p, ``_zech[k]`` is the log of
+  1 + g^k (the Zech logarithm), or 2(q-1) when that is zero;
+- f > 1 and q > 2^16: coordinate arithmetic, each product one packed
+  integer multiplication (``_coord_mul``).
+
+Discrete logarithms are always taken to the canonical generator: read
+from ``_log`` when q <= 2^16 (prime fields build it on the first
+``dlog``), by baby-step giant-step beyond.  Everything is exact.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import isqrt
+from operator import lshift, mul, pos, xor
 
 from .intmath import is_prime, prime_factors
+from .kernel import rabin
 
 DEFAULT_MAX_Q = 1 << 20
 _TABLE_LIMIT = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient arithmetic (tuples of ints, constant term first)
+# coordinate vectors (tuples of ints mod p, constant term first)
 
 def _index_coeffs(k: int, p: int, f: int) -> tuple[int, ...]:
-    """The k-th coefficient vector in lexicographic order, c_0 compared first."""
+    """The k-th coordinate vector in lexicographic order, c_0 compared first."""
     out = [0] * f
-    for i in range(f):
-        out[i], k = divmod(k, p ** (f - 1 - i))
+    for i in range(f - 1, -1, -1):
+        k, out[i] = divmod(k, p)
     return tuple(out)
 
 
-def _fq_mul(a, b, modulus, p):
-    f = len(modulus) - 1
-    prod = [0] * (2 * f - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(2 * f - 2, f - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(f):
-                prod[i - f + j] = (prod[i - f + j] - c * modulus[j]) % p
-    return tuple(prod[:f])
+def _index(coeffs, p: int) -> int:
+    """Inverse of :func:`_index_coeffs`: the code of a coordinate vector."""
+    k = 0
+    for c in coeffs:
+        k = k * p + c
+    return k
 
 
-def _fq_pow(a, e, modulus, p):
+def _coord_mul(modulus, p):
+    """``(pack, times)`` for multiplying coordinate vectors modulo ``modulus``.
+
+    ``pack(b)`` packs a vector into one int, a digit per coordinate, and
+    ``times(a, pack(b))`` is the vector of a * b: the packed factors are
+    multiplied as integers (Kronecker substitution), the digits from x^f
+    up are folded back with the packed x^k mod ``modulus``, and the sum is
+    unpacked mod p.  Digits are wide enough that no sum spills over.
+    """
     f = len(modulus) - 1
-    result = tuple([1] + [0] * (f - 1))
-    base = a
+    width = ((2 * f - 1) * (p - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    low = range(0, width * f, width)
+    high = range(width * f, width * (2 * f - 1), width)
+    low_mask = (1 << width * f) - 1
+
+    def pack(t):
+        return sum(map(lshift, t, low))
+
+    folds, row = [], (0,) * (f - 1) + (1,)
+    for _ in high:
+        top = row[-1]   # row * x, with x^f replaced by its remainder
+        row = tuple((a - top * m) % p for a, m in zip((0,) + row[:-1], modulus))
+        folds.append(pack(row))
+
+    def times(a, pb):
+        prod = pack(a) * pb
+        acc = (prod & low_mask) + sum(map(mul, [(prod >> s & mask) % p
+                                                for s in high], folds))
+        return tuple([(acc >> s & mask) % p for s in low])
+    return pack, times
+
+
+def _fq_pow(a, e, pack, times):
+    result = (1,) + (0,) * (len(a) - 1)
     while e:
         if e & 1:
-            result = _fq_mul(result, base, modulus, p)
-        base = _fq_mul(base, base, modulus, p)
+            result = times(result, pack(a))
         e >>= 1
+        if e:
+            a = times(a, pack(a))
     return result
 
 
-def _element_order(a, modulus, p, q):
-    one = tuple([1] + [0] * (len(modulus) - 2))
+def _element_order(a, q, pack, times):
+    one = (1,) + (0,) * (len(a) - 1)
     n = q - 1
     order = n
     for ell in prime_factors(n):
-        while order % ell == 0 and _fq_pow(a, order // ell, modulus, p) == one:
+        while order % ell == 0 and _fq_pow(a, order // ell, pack, times) == one:
             order //= ell
     return order
 
 
-# ---------------------------------------------------------------------------
-# F_p[x] bootstrap helpers, only needed to certify a candidate modulus
-
-def _fp_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return _fp_trim(a[:dm])
-
-
-def _fp_mulmod(a, b, m, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _fp_mod(prod, m, p)
-
-
-def _fp_powmod(a, e, m, p):
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(a), _fp_trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _fp_mod(a, bm, p)
-    return a
-
-
-def _fp_is_irreducible(m, p):
-    """Irreducibility of a monic polynomial over F_p, degree >= 1."""
-    f = len(m) - 1
-    if f == 1:
-        return True
-    if m[0] == 0:  # divisible by x
-        return False
-    x = [0, 1]
-    needed = {f // ell for ell in prime_factors(f)}
-    xq = x
-    for j in range(1, f + 1):
-        xq = _fp_powmod(xq, p, m, p)
-        if j in needed and j < f:
-            diff = list(xq) + [0] * max(0, 2 - len(xq))
-            diff[1] = (diff[1] - 1) % p
-            if len(_fp_gcd(diff, m, p)) != 1:
-                return False
-    return _fp_trim(xq) == [0, 1]
+def _prime_field(p):
+    return FqField(p, 1, (0, 1), _find_generator(p, 1, p, (0, 1)))
 
 
 def _find_modulus(p, f):
     if f == 1:
         return (0, 1)
+    fp = _prime_field(p)
     # constant term 0 means divisibility by x, so start past those vectors
     for k in range(p ** (f - 1), p ** f):
         cand = _index_coeffs(k, p, f) + (1,)
-        if _fp_is_irreducible(list(cand), p):
+        if rabin(fp, list(cand)):
             return cand
     raise ValueError(f"no monic irreducible of degree {f} over F_{p}")  # unreachable
 
 
 def _find_generator(p, f, q, modulus):
+    pack, times = _coord_mul(modulus, p)
     for k in range(1, q):
         coeffs = _index_coeffs(k, p, f)
-        if _element_order(coeffs, modulus, p, q) == q - 1:
+        if _element_order(coeffs, q, pack, times) == q - 1:
             return coeffs
     raise ValueError("no generator found")  # unreachable: F_q* is cyclic
 
@@ -197,7 +177,7 @@ def build_field(p: int, f: int, *, modulus=None, generator=None,
             raise ValueError("modulus must be monic of degree f")
         if any(not 0 <= c < p for c in modulus):
             raise ValueError("modulus coefficients must lie in [0, p)")
-        if f > 1 and not _fp_is_irreducible(list(modulus), p):
+        if f > 1 and not rabin(_prime_field(p), list(modulus)):
             raise ValueError("modulus is not irreducible over F_p")
 
     if generator is None:
@@ -207,16 +187,20 @@ def build_field(p: int, f: int, *, modulus=None, generator=None,
         if len(generator) != f:
             raise ValueError("generator must have f coordinates")
         if not any(generator) or \
-                _element_order(generator, modulus, p, q) != q - 1:
+                _element_order(generator, q, *_coord_mul(modulus, p)) != q - 1:
             raise ValueError("generator does not have order q - 1")
 
     return FqField(p, f, modulus, generator)
 
 
+_CODE_OPS = ("_add", "_neg", "_mul", "_pow", "_prep", "_axpy")
+
+
 class FqField:
     """The field with q = p^f elements; use :func:`build_field` to create one."""
 
-    __slots__ = ("p", "f", "q", "modulus", "_gen", "_exp", "_log", "_hash")
+    __slots__ = ("p", "f", "q", "modulus", "_gen", "_one", "_hash", "_pack",
+                 "_times", "_exp", "_log", "_zech") + _CODE_OPS
 
     def __init__(self, p, f, modulus, generator):
         self.p = p
@@ -224,8 +208,9 @@ class FqField:
         self.q = p ** f
         self.modulus = tuple(modulus)
         self._gen = tuple(generator)
-        self._exp = None
-        self._log = None
+        self._one = p ** (f - 1)
+        self._pack, self._times = _coord_mul(self.modulus, p)
+        self._exp = self._log = self._zech = None
         self._hash = hash(("FqField", p, f, self.modulus, self._gen))
 
     def __eq__(self, other):
@@ -242,81 +227,161 @@ class FqField:
     def __repr__(self):
         return f"FqField(p={self.p}, f={self.f})"
 
+    def __getattr__(self, name):
+        # reached only for an unset slot: the code operations are bound on
+        # first use, after the tables they read
+        if name not in _CODE_OPS:
+            raise AttributeError(name)
+        self._bind()
+        return object.__getattribute__(self, name)
+
     # -- element constructors ------------------------------------------------
 
     @property
     def zero(self) -> "FqElem":
-        return FqElem(self, (0,) * self.f)
+        return FqElem(self, 0)
 
     @property
     def one(self) -> "FqElem":
-        return FqElem(self, tuple([1] + [0] * (self.f - 1)))
+        return FqElem(self, self._one)
 
     @property
     def g(self) -> "FqElem":
         """The canonical generator of the multiplicative group."""
-        return FqElem(self, self._gen)
+        return FqElem(self, _index(self._gen, self.p))
 
     def elem(self, coeffs) -> "FqElem":
         """Element from its coordinate vector (length f, reduced mod p)."""
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) != self.f:
             raise ValueError(f"expected {self.f} coordinates, got {len(coeffs)}")
-        return FqElem(self, coeffs)
+        return FqElem(self, _index(coeffs, self.p))
 
     def const(self, a: int) -> "FqElem":
         """The prime-subfield constant a mod p."""
-        return FqElem(self, tuple([int(a) % self.p] + [0] * (self.f - 1)))
+        return FqElem(self, self._int(a))
 
     def from_index(self, k: int) -> "FqElem":
         """The k-th element in lexicographic coordinate order, 0 <= k < q."""
         if not 0 <= k < self.q:
             raise ValueError(f"index {k} out of range for q = {self.q}")
-        return FqElem(self, _index_coeffs(k, self.p, self.f))
+        return FqElem(self, k)
 
     def elements(self):
         """All q elements in lexicographic coordinate order."""
         for k in range(self.q):
-            yield FqElem(self, _index_coeffs(k, self.p, self.f))
+            yield FqElem(self, k)
 
-    # -- internal coefficient arithmetic --------------------------------------
+    # -- code arithmetic -------------------------------------------------------
 
-    def _ensure_tables(self) -> bool:
-        if self._exp is not None:
+    def _int(self, a: int) -> int:
+        """The code of the prime-subfield constant a mod p."""
+        return int(a) % self.p * self._one
+
+    def _tables(self) -> bool:
+        """Build the exp/log (and Zech) arrays once; False above the limit."""
+        if self._log is not None:
             return True
         if self.q > _TABLE_LIMIT:
             return False
-        exp = []
-        log = {}
-        t = self.one.coeffs
-        for i in range(self.q - 1):
-            exp.append(t)
-            log[t] = i
-            t = _fq_mul(t, self._gen, self.modulus, self.p)
-        self._exp = exp
-        self._log = log
+        p, f, q, n = self.p, self.f, self.q, self.q - 1
+        exp = array("l", [0]) * (4 * n + 1)
+        log = array("l", [2 * n]) * q
+        times, g = self._times, self._pack(self._gen)
+        t = (1,) + (0,) * (f - 1)
+        for i in range(n):
+            code = _index(t, p)
+            exp[i] = exp[i + n] = code
+            log[code] = i
+            t = times(t, g)
+        if f > 1 and p > 2:
+            # 1 is the top digit of a code, so adding 1 is adding p^(f-1) mod q
+            self._zech = array("l", (log[(exp[k] + self._one) % q]
+                                     for k in range(n)))
+        self._exp, self._log = exp, log
         return True
 
-    def _mul(self, a, b):
-        if self._exp is None and not self._ensure_tables():
-            return _fq_mul(a, b, self.modulus, self.p)
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+    def _bind(self):
+        """Bind the code operations used by FqElem and the kernel loops."""
+        p, f, n = self.p, self.f, self.q - 1
+        if f == 1:
+            def axpy(out, off, c, b):
+                end = off + len(b)
+                out[off:end] = [(o + c * x) % p for o, x in zip(out[off:end], b)]
+            self._add = lambda a, b: (a + b) % p
+            self._neg = lambda a: -a % p
+            self._mul = lambda a, b: a * b % p
+            self._pow = lambda a, e: pow(a, e % n, p)
+            self._prep, self._axpy = tuple, axpy
+            return
+        if self._tables():
+            exp, log, zech, half = self._exp, self._log, self._zech, n // 2
+            if p == 2:
+                def axpy(out, off, c, lb):
+                    lc, end = log[c], off + len(lb)
+                    out[off:end] = [o ^ exp[lc + l]
+                                    for o, l in zip(out[off:end], lb)]
+                self._add, self._neg = xor, pos
+            else:
+                def add(a, b):
+                    if not a or not b:
+                        return a or b
+                    la = log[a]
+                    return exp[la + zech[(log[b] - la) % n]]
 
-    def _pow_nonzero(self, a, e):
-        """a^e for nonzero a and any integer e."""
-        n = self.q - 1
-        e %= n
-        if self._ensure_tables():
-            return self._exp[(self._log[a] * e) % n]
-        return _fq_pow(a, e, self.modulus, self.p)
+                def axpy(out, off, c, lb):
+                    lc = log[c]
+                    for j, l in enumerate(lb, off):
+                        if l < n:
+                            o = out[j]
+                            if o:
+                                lo = log[o]
+                                out[j] = exp[lo + zech[(lc + l - lo) % n]]
+                            else:
+                                out[j] = exp[lc + l]
+                self._add = add
+                self._neg = lambda a: exp[log[a] + half]
+            self._mul = lambda a, b: exp[log[a] + log[b]]
+            self._pow = lambda a, e: exp[log[a] * e % n]
+            self._prep = lambda b: [log[x] for x in b]
+            self._axpy = axpy
+            return
+        pack, times = self._pack, self._times
+
+        def coords(a):
+            return _index_coeffs(a, p, f)
+
+        if p == 2:
+            def plus(a, v):   # code a plus coordinate vector v
+                return a ^ _index(v, 2)
+            self._neg = pos
+        else:
+            def plus(a, v):
+                return _index([(x + y) % p for x, y in zip(coords(a), v)], p)
+            self._neg = lambda a: _index([-x % p for x in coords(a)], p)
+
+        def add(a, b):
+            return plus(a, coords(b))
+
+        def axpy(out, off, c, pb):
+            c = coords(c)
+            for j, t in enumerate(pb, off):
+                out[j] = plus(out[j], times(c, t))
+        self._add = add
+        self._mul = lambda a, b: _index(times(coords(a), pack(coords(b))), p)
+        self._pow = lambda a, e: _index(_fq_pow(coords(a), e % n, pack, times), p)
+        self._prep = lambda b: [pack(coords(x)) for x in b]
+        self._axpy = axpy
+
+    # -- discrete logarithms ---------------------------------------------------
 
     def dlog(self, x: "FqElem") -> int:
         """Exponent k with g^k = x, for nonzero x; a residue modulo q - 1."""
         self._check_elem(x)
-        if not any(x.coeffs):
+        if not x.code:
             raise ValueError("dlog of zero is undefined")
-        if self._ensure_tables():
-            return self._log[x.coeffs]
+        if self._tables():
+            return self._log[x.code]
         return self._dlog_bsgs(x.coeffs)
 
     def _dlog_bsgs(self, coeffs):
@@ -325,25 +390,20 @@ class FqField:
             return 0
         m = isqrt(n - 1) + 1
         baby = {}
+        pack, times = self._pack, self._times
+        g = pack(self._gen)
         t = self.one.coeffs
         for j in range(m):
             baby.setdefault(t, j)
-            t = _fq_mul(t, self._gen, self.modulus, self.p)
-        giant = _fq_pow(self._gen, n - m, self.modulus, self.p)  # g^(-m)
+            t = times(t, g)
+        giant = pack(_fq_pow(self._gen, n - m, pack, times))  # g^(-m)
         y = coeffs
         for i in range(m + 1):
             j = baby.get(y)
             if j is not None:
                 return (i * m + j) % n
-            y = _fq_mul(y, giant, self.modulus, self.p)
+            y = times(y, giant)
         raise ValueError("dlog failed; element not in the multiplicative group")
-
-    def element_order(self, x: "FqElem") -> int:
-        """Multiplicative order of a nonzero element."""
-        self._check_elem(x)
-        if not any(x.coeffs):
-            raise ValueError("order of zero is undefined")
-        return _element_order(x.coeffs, self.modulus, self.p, self.q)
 
     def _check_elem(self, x):
         if not isinstance(x, FqElem) or (x.field is not self and x.field != self):
@@ -351,19 +411,24 @@ class FqField:
 
 
 class FqElem:
-    """An immutable element of an :class:`FqField`."""
+    """An immutable element of an :class:`FqField`, held as its int code."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, code):
         self.field = field
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coordinates in the power basis, constant term first."""
+        return _index_coeffs(self.code, self.field.p, self.field.f)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.code
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
     def _same_field(self, other):
         if not isinstance(other, FqElem):
@@ -373,34 +438,26 @@ class FqElem:
 
     def __add__(self, other):
         self._same_field(other)
-        p = self.field.p
-        return FqElem(self.field,
-                      tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FqElem(self.field, self.field._add(self.code, other.code))
 
     def __sub__(self, other):
         self._same_field(other)
-        p = self.field.p
-        return FqElem(self.field,
-                      tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        F = self.field
+        return FqElem(F, F._add(self.code, F._neg(other.code)))
 
     def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
+        return FqElem(self.field, self.field._neg(self.code))
 
     def __mul__(self, other):
         self._same_field(other)
-        if not self or not other:
-            return self.field.zero
-        return FqElem(self.field, self.field._mul(self.coeffs, other.coeffs))
+        return FqElem(self.field, self.field._mul(self.code, other.code))
 
     def __truediv__(self, other):
         self._same_field(other)
         if not other:
             raise ZeroDivisionError("division by zero in F_q")
-        if not self:
-            return self.field.zero
-        inv = self.field._pow_nonzero(other.coeffs, -1)
-        return FqElem(self.field, self.field._mul(self.coeffs, inv))
+        F = self.field
+        return FqElem(F, F._mul(self.code, F._pow(other.code, -1)))
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -411,31 +468,28 @@ class FqElem:
             if e == 0:
                 return self.field.one
             raise ZeroDivisionError("negative power of zero in F_q")
-        return FqElem(self.field, self.field._pow_nonzero(self.coeffs, e))
+        return FqElem(self.field, self.field._pow(self.code, e))
 
     def __eq__(self, other):
         if not isinstance(other, FqElem):
             return NotImplemented
-        return self.coeffs == other.coeffs and \
+        return self.code == other.code and \
             (self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.coeffs, self.field._hash))
+        return hash((self.code, self.field._hash))
 
     def __repr__(self):
         if self.field.f == 1:
-            return f"FqElem({self.coeffs[0]} in F_{self.field.q})"
+            return f"FqElem({self.code} in F_{self.field.q})"
         return f"FqElem({list(self.coeffs)} in F_{self.field.q})"
 
     def dlog(self) -> int:
         return self.field.dlog(self)
 
-    def multiplicative_order(self) -> int:
-        return self.field.element_order(self)
-
 
 def element_sort_key(x: FqElem):
     """Canonical sort key: integer value on prime fields, dlog (0 first) otherwise."""
     if x.field.f == 1:
-        return x.coeffs[0]
+        return x.code
     return -1 if x.is_zero() else x.dlog()

@@ -27,32 +27,6 @@ def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def determinant(matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    A = [list(map(int, row)) for row in matrix]
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """U @ A @ V = S with U, V unimodular and S diagonal, d_1 | d_2 | ...

@@ -236,10 +236,6 @@ def infinite_ramification(ext: NormalizedExtension) -> int:
 # ---------------------------------------------------------------------------
 # basis alignment, for comparing groups built over different prime sets
 
-def union_basis(a: PrimeBasis, b: PrimeBasis) -> PrimeBasis:
-    return PrimeBasis.from_primes(tuple(a) + tuple(b))
-
-
 def embed_group(group: RadicandGroup, old_basis: PrimeBasis,
                 new_basis: PrimeBasis) -> RadicandGroup:
     """Re-embed a group in a larger basis; missing coordinates are exact

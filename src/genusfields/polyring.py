@@ -1,9 +1,12 @@
 """Dense univariate polynomials over F_q, with full factorization.
 
-A :class:`Poly` is an immutable coefficient tuple, constant term first,
-with no trailing zeros (the zero polynomial is the empty tuple).  The
-primes of the rational function field are monic irreducibles, wrapped
-in :class:`MonicIrreducible` which certifies irreducibility when built.
+A :class:`Poly` is an immutable tuple of int coefficient codes (see
+:mod:`ffield`), constant term first, with no trailing zeros (the zero
+polynomial is the empty tuple); ``Poly.coeffs`` decodes them to
+:class:`FqElem` values.  The arithmetic runs the int loops of
+:mod:`kernel`.  The primes of the rational function field are monic
+irreducibles, wrapped in :class:`MonicIrreducible` which certifies
+irreducibility when built.
 
 Everything here follows one canonical ordering, used for all sorted
 output and for the coordinates of radicand vectors: polynomials compare
@@ -22,60 +25,70 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import kernel as _k
 from .ffield import FqField, FqElem, element_sort_key
-from .intmath import prime_factors
 
 
 class Poly:
-    """A dense polynomial over one fixed FqField."""
+    """A dense polynomial over one fixed FqField.
 
-    __slots__ = ("field", "coeffs")
+    ``codes`` holds the int codes of the coefficients (see :mod:`ffield`);
+    ``coeffs`` gives them as :class:`FqElem` values.
+    """
+
+    __slots__ = ("field", "codes")
 
     def __init__(self, field: FqField, coeffs):
-        cs = list(coeffs)
-        for c in cs:
+        codes = []
+        for c in coeffs:
             if not isinstance(c, FqElem) or (c.field is not field and c.field != field):
                 raise ValueError("coefficient does not belong to the given field")
-        while cs and cs[-1].is_zero():
-            cs.pop()
+            codes.append(c.code)
         self.field = field
-        self.coeffs = tuple(cs)
+        self.codes = tuple(_k.trim(codes))
+
+    @classmethod
+    def _make(cls, field: FqField, codes) -> "Poly":
+        """Polynomial from a list of codes, trimmed; no validation."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.codes = tuple(_k.trim(codes))
+        return out
 
     @classmethod
     def from_ints(cls, field: FqField, ints) -> "Poly":
         """Polynomial with prime-subfield coefficients given as integers."""
-        return cls(field, [field.const(a) for a in ints])
+        return cls._make(field, [field._int(a) for a in ints])
 
     @classmethod
     def zero(cls, field: FqField) -> "Poly":
-        return cls(field, ())
+        return cls._make(field, [])
 
     @classmethod
     def one(cls, field: FqField) -> "Poly":
-        return cls(field, (field.one,))
+        return cls._make(field, [field._one])
+
+    @property
+    def coeffs(self) -> tuple[FqElem, ...]:
+        return tuple(FqElem(self.field, c) for c in self.codes)
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.codes) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.codes
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
+        return self.codes == (self.field._one,)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
-    def lc(self) -> FqElem:
-        """Leading coefficient; zero for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else self.field.zero
+        return bool(self.codes) and self.codes[-1] == self.field._one
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
-        inv = self.coeffs[-1] ** -1
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return Poly._make(self.field, _k.monic(self.field, self.codes))
 
     def _same_field(self, other):
         if not isinstance(other, Poly):
@@ -85,59 +98,23 @@ class Poly:
 
     def __add__(self, other):
         self._same_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        return Poly._make(self.field, _k.add(self.field, self.codes, other.codes))
 
     def __sub__(self, other):
         self._same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.field.zero
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else zero
-            y = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(x - y)
-        return Poly(self.field, out)
+        return Poly._make(self.field, _k.sub(self.field, self.codes, other.codes))
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._make(self.field, _k.neg(self.field, self.codes))
 
     def __mul__(self, other):
         self._same_field(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly._make(self.field, _k.mul(self.field, self.codes, other.codes))
 
     def __divmod__(self, other):
         self._same_field(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        db = other.degree()
-        if self.degree() < db:
-            return Poly.zero(self.field), self
-        inv_lc = other.coeffs[-1] ** -1
-        rem = list(self.coeffs)
-        quo = [self.field.zero] * (self.degree() - db + 1)
-        for k in range(self.degree() - db, -1, -1):
-            c = rem[k + db]
-            if c:
-                factor = c * inv_lc
-                quo[k] = factor
-                for j in range(db + 1):
-                    rem[k + j] = rem[k + j] - factor * other.coeffs[j]
-        return Poly(self.field, quo), Poly(self.field, rem[:db])
+        quo, rem = _k.div_mod(self.field, self.codes, other.codes)
+        return Poly._make(self.field, quo), Poly._make(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -158,19 +135,16 @@ class Poly:
         return result
 
     def derivative(self) -> "Poly":
-        out = []
-        for i, c in enumerate(self.coeffs[1:], 1):
-            out.append(self.field.const(i) * c)
-        return Poly(self.field, out)
+        return Poly._make(self.field, _k.derivative(self.field, self.codes))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs and \
+        return self.codes == other.codes and \
             (self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.coeffs, self.field._hash))
+        return hash((self.codes, self.field._hash))
 
     def __repr__(self):
         return f"Poly(deg={self.degree()}, coeffs={[c.coeffs for c in self.coeffs]})"
@@ -178,29 +152,21 @@ class Poly:
 
 def variable(field: FqField) -> Poly:
     """The polynomial T."""
-    return Poly(field, (field.zero, field.one))
+    return Poly._make(field, [0, field._one])
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic generator of the ideal (a, b); gcd(0, 0) = 0."""
     a._same_field(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly._make(a.field, _k.gcd(a.field, a.codes, b.codes))
 
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     """base**e reduced modulo ``mod``, by square and multiply."""
     if mod.degree() < 1:
         raise ValueError("modulus must have degree >= 1")
-    result = Poly.one(base.field)
-    acc = base % mod
-    while e:
-        if e & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
-        e >>= 1
-    return result
+    base._same_field(mod)
+    return Poly._make(base.field, _k.pow_mod(base.field, base.codes, e, mod.codes))
 
 
 def poly_sort_key(poly: Poly):
@@ -213,10 +179,7 @@ def poly_sort_key(poly: Poly):
 
 def _pth_root(h: Poly) -> Poly:
     """The p-th root of a polynomial whose derivative vanishes."""
-    field = h.field
-    p, q = field.p, field.q
-    root = [h.coeffs[i] ** (q // p) for i in range(0, len(h.coeffs), p)]
-    return Poly(field, root)
+    return Poly._make(h.field, _k.pth_root(h.field, h.codes))
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -263,27 +226,22 @@ def is_irreducible(f: Poly) -> bool:
     """Rabin's criterion over F_q.  Constants are not irreducible."""
     if f.is_zero():
         raise ValueError("the zero polynomial has no irreducibility status")
-    n = f.degree()
-    if n < 1:
+    if f.degree() < 1:
         return False
-    if n == 1:
-        return True
-    field = f.field
-    m = f.monic()
-    t = variable(field)
-    needed = {n // ell for ell in prime_factors(n)}
-    frob = t % m
-    for j in range(1, n + 1):
-        frob = pow_mod(frob, field.q, m)
-        if j in needed and j < n:
-            if gcd(frob - t, m).degree() != 0:
-                return False
-    return frob == t % m
+    return _k.rabin(f.field, f.monic().codes, _pow_mod_codes, _gcd_codes)
+
+
+def _pow_mod_codes(field, a, e, m):
+    return list(pow_mod(Poly._make(field, a), e, Poly._make(field, m)).codes)
+
+
+def _gcd_codes(field, a, b):
+    return list(gcd(Poly._make(field, a), Poly._make(field, b)).codes)
 
 
 def _random_poly(field: FqField, rng: random.Random, max_deg: int) -> Poly:
-    return Poly(field, [field.from_index(rng.randrange(field.q))
-                        for _ in range(max_deg + 1)])
+    # a code is the from_index index, so this draws from_index elements
+    return Poly._make(field, [rng.randrange(field.q) for _ in range(max_deg + 1)])
 
 
 def _distinct_degree(h: Poly) -> list[tuple[Poly, int]]:

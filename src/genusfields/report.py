@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
 
@@ -48,9 +47,10 @@ def render_poly(poly: Poly, var: str = "T") -> str:
     if poly.is_zero():
         return "0"
     field = poly.field
+    coeffs = poly.coeffs
     terms = []
     for i in range(poly.degree(), -1, -1):
-        c = poly.coeffs[i]
+        c = coeffs[i]
         if c.is_zero():
             continue
         if i == 0:
@@ -180,7 +180,6 @@ class JobConfig:
     strict: bool = False
     include_infinite: bool = False
     include_comparison: bool = False
-    parallel: bool = False
 
     def descriptor(self) -> KummerDescriptor:
         return KummerDescriptor(self.field, self.components)
@@ -446,14 +445,8 @@ def run(config: JobConfig) -> Report:
         raise InvalidDescriptorError(
             "trivial component (radicand already an m-th power) in strict mode")
 
-    if config.parallel:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_cl = pool.submit(clement_genus_field, ext)
-            fut_ra = pool.submit(rarzvi_genus_field, ext)
-            cl, ra = fut_cl.result(), fut_ra.result()
-    else:
-        cl = clement_genus_field(ext)
-        ra = rarzvi_genus_field(ext)
+    cl = clement_genus_field(ext)
+    ra = rarzvi_genus_field(ext)
     _audit(desc, ext, cl, ra, config.seed)
 
     warnings = []

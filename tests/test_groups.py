@@ -3,10 +3,35 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from genusfields import (RadicandGroup, determinant, enumerate_subgroup,
-                         smith_normal_form)
+from genusfields import RadicandGroup, enumerate_subgroup, smith_normal_form
 from genusfields.intmath import divisors
 from genusfields.selftest import random_group, torsion_counts_match
+
+
+def determinant(matrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    A = [list(map(int, row)) for row in matrix]
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
 
 
 def matmul(A, B):

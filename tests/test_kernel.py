@@ -1,0 +1,128 @@
+"""Differential tests of the int-coded polynomial kernel.
+
+Products, division with remainder, gcd and modular powers of ``Poly`` are
+checked against a plain schoolbook reference written with ``FqElem``
+operators, on both arithmetic paths of ``ffield``: the tabled one and the
+untabled one, forced by building the fields with ``_TABLE_LIMIT`` set low.
+The fields cover p = 2 and odd p, f = 1 and f > 1.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genusfields import Poly, build_field, gcd, pow_mod
+from genusfields import ffield
+
+KEYS = ((2, 1), (2, 2), (2, 3), (3, 2), (13, 1), (65537, 1))
+
+
+def _fields(limit):
+    fields = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "_TABLE_LIMIT", limit)
+        for key in KEYS:
+            fld = build_field(*key)
+            fld._bind()   # pick the arithmetic path while the limit holds
+            fields[key] = fld
+    return fields
+
+
+TABLED = _fields(ffield._TABLE_LIMIT)
+UNTABLED = _fields(1)
+
+
+# ---------------------------------------------------------------------------
+# schoolbook reference on lists of FqElem, constant term first
+
+def _trim(a):
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def ref_mul(fld, a, b):
+    if not a or not b:
+        return []
+    out = [fld.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def ref_divmod(fld, a, b):
+    db = len(b) - 1
+    rem = list(a)
+    quo = [fld.zero] * max(len(a) - db, 0)
+    for k in reversed(range(len(quo))):
+        c = rem[k + db] / b[-1]
+        quo[k] = c
+        for j in range(db + 1):
+            rem[k + j] = rem[k + j] - c * b[j]
+    return _trim(quo), _trim(rem[:db])
+
+
+def ref_gcd(fld, a, b):
+    while b:
+        a, b = b, ref_divmod(fld, a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def ref_pow_mod(fld, a, e, m):
+    result = [fld.one]
+    for _ in range(e):   # repeated multiplication, not square and multiply
+        result = ref_divmod(fld, ref_mul(fld, result, a), m)[1]
+    return result
+
+
+@st.composite
+def cases(draw):
+    key = draw(st.sampled_from(KEYS))
+    q = key[0] ** key[1]
+    codes = st.lists(st.integers(0, q - 1), max_size=12)
+    return key, draw(codes), draw(codes), draw(st.integers(0, 30))
+
+
+def _elems(fld, codes):
+    return _trim([fld.from_index(c) for c in codes])
+
+
+def test_paths_are_as_intended():
+    for key in KEYS:
+        assert TABLED[key] == UNTABLED[key]
+        if key[1] > 1:
+            assert TABLED[key]._log is not None
+            assert UNTABLED[key]._log is None
+
+
+@pytest.mark.parametrize("fields", [TABLED, UNTABLED], ids=["tabled", "untabled"])
+@settings(max_examples=150, deadline=None)
+@given(case=cases())
+def test_kernel_matches_schoolbook(fields, case):
+    key, a, b, e = case
+    fld = fields[key]
+    ea, eb = _elems(fld, a), _elems(fld, b)
+    A, B = Poly(fld, ea), Poly(fld, eb)
+    assert list((A * B).coeffs) == ref_mul(fld, ea, eb)
+    assert list(gcd(A, B).coeffs) == ref_gcd(fld, ea, eb)
+    if eb:
+        quo, rem = divmod(A, B)
+        assert (list(quo.coeffs), list(rem.coeffs)) == ref_divmod(fld, ea, eb)
+    if len(eb) > 1:
+        assert list(pow_mod(A, e, B).coeffs) == ref_pow_mod(fld, ea, e, eb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases())
+def test_untabled_agrees_with_tabled(case):
+    key, a, b, e = case
+    results = []
+    for fld in (TABLED[key], UNTABLED[key]):
+        A, B = Poly(fld, _elems(fld, a)), Poly(fld, _elems(fld, b))
+        out = [A * B, A - B, gcd(A, B), A.derivative()]
+        if not B.is_zero():
+            out.extend(divmod(A, B))
+        if B.degree() > 0:
+            out.append(pow_mod(A, e, B))
+        results.append([P.codes for P in out])
+    assert results[0] == results[1]

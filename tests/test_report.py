@@ -172,13 +172,6 @@ def test_run_depends_only_on_config(F5):
     assert run(config).to_json() == run(config).to_json()
 
 
-def test_parallel_matches_serial(F5):
-    comps = [KummerComponent(F5.const(2), P(F5, [0, 1, 2, 1]), 4)]
-    serial = run(_config(F5, comps, include_comparison=True))
-    parallel = run(_config(F5, comps, include_comparison=True, parallel=True))
-    assert serial.to_json() == parallel.to_json()
-
-
 def test_audit_failure_raises(F5, monkeypatch):
     import genusfields.report as report_mod
     monkeypatch.setattr(report_mod, "verify_degree_formula",
@@ -241,7 +234,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     invalid.write_text("field p=5 f=1\ncomponent gamma=2 D=T m=3\n",
                        encoding="utf-8")
     assert main(["compute", str(invalid)]) == 3
-    assert main(["compute", str(tmp_path / "missing.txt")]) == 2
+    assert main(["compute", str(tmp_path / "missing.txt")]) == 5
     capsys.readouterr()
     import genusfields.report as report_mod
     monkeypatch.setattr(report_mod, "verify_degree_formula",
@@ -250,6 +243,25 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     job.write_text(JOB, encoding="utf-8")
     assert main(["compute", str(job)]) == 4
     capsys.readouterr()
+
+
+def test_cli_unreadable_job_file(tmp_path, capsys):
+    assert main(["compute", str(tmp_path)]) == 5   # a directory, not a file
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: cannot read job file:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_output_to_missing_directory(tmp_path, capsys):
+    job = tmp_path / "job.txt"
+    job.write_text(JOB, encoding="utf-8")
+    dest = tmp_path / "no-such-dir" / "report.json"
+    assert main(["compute", "--output", str(dest), str(job)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("I/O error: cannot write output file:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not dest.parent.exists()
 
 
 def test_cli_stdin(monkeypatch, capsys):
