@@ -2,7 +2,8 @@
 
 Subcommands: ``compute`` runs one job, ``compare`` is compute with the
 comparison section forced on, ``selftest`` runs the reduced property
-suites.  Exit codes: 0 success, 2 parse error, 3 invalid descriptor,
+suites.  Exit codes: 0 success, 2 parse error (including job text, from
+a file or standard input, that is not valid UTF-8), 3 invalid descriptor,
 4 internal invariant violation, 5 I/O error (job file unreadable or
 output file unwritable), 1 selftest failure.
 """
@@ -57,17 +58,20 @@ def main(argv=None) -> int:
         return 0 if run_selftest(seed=args.seed) else 1
 
     if args.job == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
         try:
-            with open(args.job, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args.job, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             print(f"I/O error: cannot read job file: {exc}", file=sys.stderr)
             return 5
 
     try:
-        config = parse_input(text, strict=args.strict)
+        config = parse_input(data.decode("utf-8"), strict=args.strict)
+    except UnicodeDecodeError:
+        print("parse error: job text is not valid UTF-8", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -161,10 +161,13 @@ def build_field(p: int, f: int, *, modulus=None, generator=None,
     ``generator`` overrides the canonical generator (a coefficient
     vector of length f); both are validated.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
     if not isinstance(f, int) or f < 1:
         raise ValueError(f"f must be a positive integer, got {f!r}")
+    # refused before is_prime(p) and p ** f, whose costs grow with p and f
+    if isinstance(p, int) and (p > max_q or f > max_q.bit_length()):
+        raise ValueError(f"q = p^f exceeds the configured bound {max_q}")
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
     q = p ** f
     if q > max_q:
         raise ValueError(f"q = {q} exceeds the configured bound {max_q}")

@@ -24,7 +24,7 @@ from .ffield import FqField, FqElem
 from .groups import RadicandGroup
 from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
                      PrimeBasis, ramification_indices)
-from .polyring import MonicIrreducible, Poly, is_irreducible
+from .polyring import MonicIrreducible, Poly
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,14 @@ def rarzvi_genus_field(ext: NormalizedExtension) -> GenusField:
                       galois=group.invariant_factors(), canonical=False)
 
 
-def compare(ext: NormalizedExtension) -> ComparisonReport:
-    """Containments and degrees of extension, compositum and genus field.
+def compare(ext: NormalizedExtension, cl: GenusField,
+            ra: GenusField) -> ComparisonReport:
+    """Containments and degrees of extension, compositum ``ra`` and
+    genus field ``cl``.
 
     All three groups live over the extension's own prime basis, so the
     subgroup engine answers every question directly.
     """
-    cl = clement_genus_field(ext)
-    ra = rarzvi_genus_field(ext)
     k_in_r = ra.group.contains(ext.group)
     r_in_c = cl.group.contains(ra.group)
     eq = r_in_c and ra.group.contains(cl.group)
@@ -157,8 +157,8 @@ def as_descriptor(gf: GenusField) -> KummerDescriptor:
     return KummerDescriptor(field, tuple(comps))
 
 
-def signed_closed_form_agrees(ext: NormalizedExtension):
-    """Diagnostic for the rewritten form of the compositum construction.
+def signed_closed_form_agrees(ext: NormalizedExtension, ra: GenusField):
+    """Diagnostic for the rewritten form of the compositum ``ra``.
 
     When every non-trivial component adjoins a root of gamma_i * P_i
     with the P_i distinct irreducibles that are exactly the ramified
@@ -175,9 +175,6 @@ def signed_closed_form_agrees(ext: NormalizedExtension):
     kept_comps = [desc.components[i] for i in ext.kept]
     if not kept_comps or len(kept_comps) != len(ram):
         return None
-    for comp in kept_comps:
-        if comp.D.degree() < 1 or not is_irreducible(comp.D):
-            return None
     ram_by_poly = {P.poly: e for P, e in ram}
     if {c.D for c in kept_comps} != set(ram_by_poly):
         return None
@@ -193,4 +190,4 @@ def signed_closed_form_agrees(ext: NormalizedExtension):
         gens.append(tuple(row))
         gens.append(_radical_vector(M, dim, e, 0, ext.basis.index(P)))
     closed = RadicandGroup.spanned_by(M, dim, gens)
-    return closed.equals(rarzvi_genus_field(ext).group)
+    return closed.equals(ra.group)

@@ -11,9 +11,9 @@ The subgroup those vectors span decides the degree, the Galois
 structure and every containment question for the extension.
 
 Ramification at a finite prime is tame here (m | q - 1) and is read off
-the vectors; an independent componentwise formula is provided as an
-oracle, and the valuation of a radicand at the infinite place is
--deg(D), which yields the reported index over 1/T.
+the vectors.  An oracle recomputes it componentwise over the basis that
+`normalize` built, with its own valuations.  The valuation of a radicand
+at the infinite place is -deg(D), which yields the reported index over 1/T.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class PrimeBasis:
     def __iter__(self):
         return iter(self.primes)
 
-    def __contains__(self, P):
-        return any(Q == P for Q in self.primes)
-
 
 @dataclass(frozen=True)
 class RadicandVector:
@@ -145,30 +142,27 @@ class NormalizedExtension:
 def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
     """Factor the radicands, build the vector model and span the group.
 
-    Components whose radicand is already an m-th power contribute the
-    zero vector; they are dropped from the generating set (their index
-    appears in ``dropped``) and if nothing remains the extension is the
-    base field itself, flagged ``degenerate``.
+    Each distinct radicand is factored once.  Components whose radicand
+    is already an m-th power contribute the zero vector; they are dropped
+    from the generating set (their index appears in ``dropped``) and if
+    nothing remains the extension is the base field itself, flagged
+    ``degenerate``.
     """
     field = desc.field
     M = field.q - 1
-    factored = []
-    primes = []
+    factored = {}
     for comp in desc.components:
-        if comp.D.degree() > 0:
-            fac = factor(comp.D, seed)
-        else:
-            fac = []
-        factored.append(fac)
-        primes.extend(P for P, _ in fac)
-    basis = PrimeBasis.from_primes(primes)
+        if comp.D.degree() > 0 and comp.D not in factored:
+            factored[comp.D] = factor(comp.D, seed)
+    basis = PrimeBasis.from_primes(
+        P for fac in factored.values() for P, _ in fac)
 
     vectors = []
-    for comp, fac in zip(desc.components, factored):
+    for comp in desc.components:
         scale = M // comp.m
         const = (scale * field.dlog(comp.gamma)) % M
         exps = [0] * len(basis)
-        for P, a in fac:
+        for P, a in factored.get(comp.D, ()):
             exps[basis.index(P)] = (scale * a) % M
         vectors.append(RadicandVector(M, const, tuple(exps)))
 
@@ -195,21 +189,17 @@ def ramification_indices(ext: NormalizedExtension) -> RamificationData:
     return RamificationData(tuple(entries))
 
 
-def ramification_lcm_oracle(desc: KummerDescriptor, seed: int = 0) -> RamificationData:
+def ramification_lcm_oracle(ext: NormalizedExtension) -> RamificationData:
     """Independent componentwise formula: e_P = lcm_i m_i / gcd(m_i, v_P(D_i)).
 
-    Inertia in a tame abelian compositum is cyclic of lcm order, so this
-    must agree with :func:`ramification_indices` on every descriptor.
+    Valuations by trial division at each prime of ``ext.basis``, not from
+    the vectors.  Inertia in a tame abelian compositum is cyclic of lcm
+    order, so this must agree with :func:`ramification_indices`.
     """
-    primes = []
-    for comp in desc.components:
-        if comp.D.degree() > 0:
-            primes.extend(P for P, _ in factor(comp.D, seed))
-    basis = PrimeBasis.from_primes(primes)
     entries = []
-    for P in basis:
+    for P in ext.basis:
         e = 1
-        for comp in desc.components:
+        for comp in ext.descriptor.components:
             v = valuation(comp.D, P) if comp.D.degree() > 0 else 0
             e = lcm(e, comp.m // gcd(comp.m, v))
         if e > 1:

@@ -266,9 +266,12 @@ def _parse_component_line(field, assigns, line_no, strict):
     if not D.is_monic():
         raise ParseError("D must be monic", line_no, col)
     value, col = seen["m"]
-    if not value.isdigit() or int(value) < 1:
+    try:
+        m = int(value) if value.isdigit() else 0
+    except ValueError:   # a digit int() refuses, or over its digit limit
+        m = 0
+    if m < 1:
         raise ParseError("m must be a positive integer", line_no, col)
-    m = int(value)
     if strict and (field.q - 1) % m != 0:
         raise ParseError(f"m = {m} does not divide q - 1 = {field.q - 1}",
                          line_no, col)
@@ -415,7 +418,7 @@ def _genus_payload(field, gf: GenusField, with_radicals: bool) -> dict:
     return out
 
 
-def _audit(desc, ext, cl, ra, seed):
+def _audit(ext, cl, ra):
     if not verify_degree_formula(cl, ext):
         raise InternalCheckError("degree formula violated")
     if not ra.group.contains(ext.group):
@@ -424,7 +427,7 @@ def _audit(desc, ext, cl, ra, seed):
         raise InternalCheckError("containment chain violated: rarzvi not in clement")
     if cl.group.constant_subgroup_order() != ext.n:
         raise InternalCheckError("constant field of the genus field is not F_(q^n)")
-    if ramification_indices(ext).entries != ramification_lcm_oracle(desc, seed).entries:
+    if ramification_indices(ext).entries != ramification_lcm_oracle(ext).entries:
         raise InternalCheckError("ramification formulas disagree")
     for gf in (cl, ra):
         if prod(gf.galois) != gf.degree:
@@ -447,7 +450,7 @@ def run(config: JobConfig) -> Report:
 
     cl = clement_genus_field(ext)
     ra = rarzvi_genus_field(ext)
-    _audit(desc, ext, cl, ra, config.seed)
+    _audit(ext, cl, ra)
 
     warnings = []
     for i in ext.dropped:
@@ -455,7 +458,7 @@ def run(config: JobConfig) -> Report:
                         f"m-th power in k*")
     if ext.degenerate:
         warnings.append("all components are trivial: K = k")
-    if signed_closed_form_agrees(ext) is False:
+    if signed_closed_form_agrees(ext, ra) is False:
         warnings.append("signed-prime closed form disagrees with the "
                         "compositum construction of the rarzvi field")
 
@@ -488,7 +491,7 @@ def run(config: JobConfig) -> Report:
     if config.include_infinite:
         payload["ramification"]["infinite"] = infinite_ramification(ext)
     if config.include_comparison:
-        rep = compare(ext)
+        rep = compare(ext, cl, ra)
         if rep.rarzvi_in_clement and \
                 rep.index_rarzvi_in_clement * rep.degree_rarzvi != rep.degree_clement:
             raise InternalCheckError("comparison index is not the degree ratio")

@@ -135,7 +135,7 @@ def check_extension_pipeline(rng, count=40):
         desc = random_descriptor(rng)
         ext = normalize(desc)
         if ramification_indices(ext).entries != \
-                ramification_lcm_oracle(desc).entries:
+                ramification_lcm_oracle(ext).entries:
             return False
         cl = clement_genus_field(ext)
         ra = rarzvi_genus_field(ext)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -43,6 +44,13 @@ def test_build_field_errors():
     with pytest.raises(ValueError):
         build_field(2, 21)  # 2^21 exceeds the default bound
     build_field(2, 21, max_q=1 << 22)  # raised bound admits it
+    # refused before trial division by sqrt(p) or building p ** f
+    start = time.monotonic()
+    with pytest.raises(ValueError):
+        build_field(10000000000000061, 1)
+    with pytest.raises(ValueError):
+        build_field(2, 10 ** 12)
+    assert time.monotonic() - start < 1.0
 
 
 def test_overrides_validated():

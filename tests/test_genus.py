@@ -22,6 +22,14 @@ def ext_of(fld, *comps):
     return normalize(KummerDescriptor(fld, tuple(comps)))
 
 
+def compare_of(ext):
+    return compare(ext, clement_genus_field(ext), rarzvi_genus_field(ext))
+
+
+def closed_form_of(ext):
+    return signed_closed_form_agrees(ext, rarzvi_genus_field(ext))
+
+
 def test_clement_sqrt_T(F5):
     ext = ext_of(F5, comp(F5, 1, [0, 1], 2))
     gf = clement_genus_field(ext)
@@ -80,13 +88,13 @@ def test_rarzvi_examples(F5, F7):
 
 
 def test_compare_examples(F5, F7):
-    rep = compare(ext_of(F5, comp(F5, 4, [0, 1], 2)))
+    rep = compare_of(ext_of(F5, comp(F5, 4, [0, 1], 2)))
     assert rep.k_in_rarzvi and rep.rarzvi_in_clement
     assert not rep.rarzvi_eq_clement
     assert rep.index_rarzvi_in_clement == 2
-    rep7 = compare(ext_of(F7, comp(F7, 6, [0, 1], 2)))
+    rep7 = compare_of(ext_of(F7, comp(F7, 6, [0, 1], 2)))
     assert (rep7.degree_k, rep7.degree_rarzvi, rep7.degree_clement) == (2, 2, 4)
-    rep_deg = compare(ext_of(F5, comp(F5, 4, [1], 2)))
+    rep_deg = compare_of(ext_of(F5, comp(F5, 4, [1], 2)))
     assert rep_deg.rarzvi_eq_clement and rep_deg.index_rarzvi_in_clement == 1
 
 
@@ -163,14 +171,14 @@ def test_chain_random():
 def test_closed_form_diagnostic(F5, F7):
     # gamma itself a non-square over F_7: the rewritten form drops the
     # non-square unit and lands in a different field
-    assert signed_closed_form_agrees(ext_of(F7, comp(F7, 3, [0, 1], 2))) is False
+    assert closed_form_of(ext_of(F7, comp(F7, 3, [0, 1], 2))) is False
     # over F_5 the sign is a square, both constructions agree
-    assert signed_closed_form_agrees(ext_of(F5, comp(F5, 2, [0, 1], 2))) is True
+    assert closed_form_of(ext_of(F5, comp(F5, 2, [0, 1], 2))) is True
     # not applicable when D is not irreducible
-    assert signed_closed_form_agrees(
+    assert closed_form_of(
         ext_of(F5, comp(F5, 2, [0, 1, 2, 1], 4))) is None
     # not applicable when a component is trivial
-    assert signed_closed_form_agrees(ext_of(F5, comp(F5, 4, [1], 2))) is None
+    assert closed_form_of(ext_of(F5, comp(F5, 4, [1], 2))) is None
 
 
 def test_signed_prime_family_random():

@@ -60,6 +60,9 @@ def test_parse_errors_carry_position():
         parse_input("field p=5 f=1\nfield p=5 f=1\n")
     with pytest.raises(ParseError):
         parse_input("field p=4 f=1\ncomponent gamma=1 D=T m=1\n")   # 4 not prime
+    for p, f in ((10000000000000061, 1), (2, 10 ** 12)):          # q too large
+        with pytest.raises(ParseError):
+            parse_input(f"field p={p} f={f}\ncomponent gamma=1 D=T m=1\n")
     with pytest.raises(ParseError):
         parse_input("field p=5 f=1\n")                              # no components
     with pytest.raises(ParseError):
@@ -172,6 +175,25 @@ def test_run_depends_only_on_config(F5):
     assert run(config).to_json() == run(config).to_json()
 
 
+def test_run_factors_each_radicand_once(F5, monkeypatch):
+    import genusfields.kummer as kummer_mod
+    calls = []
+    real_factor = kummer_mod.factor
+
+    def counting_factor(f, seed=0):
+        calls.append(f)
+        return real_factor(f, seed)
+
+    monkeypatch.setattr(kummer_mod, "factor", counting_factor)
+    D, E = P(F5, [0, 1, 2, 1]), P(F5, [1, 1])
+    comps = [KummerComponent(F5.const(2), D, 4),
+             KummerComponent(F5.one, D, 2),              # shares D
+             KummerComponent(F5.const(4), Poly.one(F5), 2),
+             KummerComponent(F5.one, E, 4)]
+    run(_config(F5, comps, include_comparison=True, include_infinite=True))
+    assert calls == [D, E]
+
+
 def test_audit_failure_raises(F5, monkeypatch):
     import genusfields.report as report_mod
     monkeypatch.setattr(report_mod, "verify_degree_formula",
@@ -235,6 +257,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                        encoding="utf-8")
     assert main(["compute", str(invalid)]) == 3
     assert main(["compute", str(tmp_path / "missing.txt")]) == 5
+    for m in ("\u00b2", "9" * 5000):   # isdigit() holds, int() refuses
+        odd = tmp_path / "odd_m.txt"
+        odd.write_text(f"field p=5 f=1\ncomponent gamma=2 D=T m={m}\n",
+                       encoding="utf-8")
+        assert main(["compute", str(odd)]) == 2
     capsys.readouterr()
     import genusfields.report as report_mod
     monkeypatch.setattr(report_mod, "verify_degree_formula",
@@ -264,11 +291,27 @@ def test_cli_output_to_missing_directory(tmp_path, capsys):
     assert not dest.parent.exists()
 
 
-def test_cli_stdin(monkeypatch, capsys):
+def _stdin(data: bytes):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(JOB))
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def test_cli_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _stdin(JOB.encode("utf-8")))
     assert main(["compute", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["extension"]["degree"] == 2
+
+
+def test_cli_job_text_not_utf8(tmp_path, capsys, monkeypatch):
+    data = b"\xff\xfe" + JOB.encode("utf-8")
+    job = tmp_path / "job.txt"
+    job.write_bytes(data)
+    assert main(["compute", str(job)]) == 2
+    monkeypatch.setattr("sys.stdin", _stdin(data))
+    assert main(["compute"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: job text is not valid UTF-8\n" * 2
 
 
 def test_cli_strict_flag(tmp_path, capsys):
