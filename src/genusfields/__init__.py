@@ -16,7 +16,7 @@ from .genus import (ComparisonReport, GenusField, as_descriptor,
 from .groups import (RadicandGroup, SmithForm, enumerate_subgroup,
                      smith_normal_form)
 from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
-                     PrimeBasis, RadicandVector, RamificationData, embed_group,
+                     PrimeBasis, RadicandVector, embed_group,
                      infinite_ramification, normalize, ramification_indices,
                      ramification_lcm_oracle)
 from .polyring import (MonicIrreducible, Poly, factor, gcd, is_irreducible,
@@ -32,7 +32,7 @@ __all__ = [
     "InternalCheckError", "InvalidDescriptorError", "JobConfig",
     "KummerComponent", "KummerDescriptor", "MonicIrreducible",
     "NormalizedExtension", "ParseError", "Poly", "PrimeBasis", "RadicandGroup",
-    "RadicandVector", "RamificationData", "Report", "SmithForm",
+    "RadicandVector", "Report", "SmithForm",
     "as_descriptor", "build_field", "clement_genus_field", "compare",
     "element_sort_key", "embed_group", "enumerate_subgroup", "factor", "gcd",
     "infinite_ramification", "is_irreducible", "normalize", "parse_input",

@@ -12,7 +12,8 @@ sits between the extension and the clement field; the comparison
 machinery reports the containments and the degree index.
 
 Both constructions live in the same radicand-vector lattice as the
-extension, so containment and equality are exact subgroup questions.
+extension, so containment is an exact subgroup question, and nested
+finite groups are equal exactly when their orders (degrees) are.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import prod
 from .ffield import FqField, FqElem
 from .groups import RadicandGroup
 from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
-                     PrimeBasis, ramification_indices)
+                     PrimeBasis)
 from .polyring import MonicIrreducible, Poly
 
 
@@ -78,13 +79,12 @@ def clement_genus_field(ext: NormalizedExtension) -> GenusField:
     M = ext.group.modulus
     dim = ext.group.dim
     n = ext.n
-    ram = ramification_indices(ext)
 
     gens = []
     if n > 1:
         gens.append(((M // n),) + (0,) * (dim - 1))
     radicals = []
-    for P, e in ram:
+    for P, e in ext.ramification:
         radicals.append((e, field.one, P))
         gens.append(_radical_vector(M, dim, e, 0, ext.basis.index(P)))
     group = RadicandGroup.spanned_by(M, dim, gens)
@@ -97,8 +97,7 @@ def clement_genus_field(ext: NormalizedExtension) -> GenusField:
 def verify_degree_formula(gf: GenusField, ext: NormalizedExtension) -> bool:
     """Exact check that the genus field degree is n times the product of
     the ramification indices."""
-    ram = ramification_indices(ext)
-    return gf.group.order() == ext.n * prod(e for _, e in ram)
+    return gf.group.order() == ext.n * prod(e for _, e in ext.ramification)
 
 
 def rarzvi_genus_field(ext: NormalizedExtension) -> GenusField:
@@ -109,7 +108,7 @@ def rarzvi_genus_field(ext: NormalizedExtension) -> GenusField:
     dim = ext.group.dim
     sign = _sign_dlog(field)
     gens = []
-    for P, e in ramification_indices(ext):
+    for P, e in ext.ramification:
         gens.append(_radical_vector(M, dim, e, (P.deg * sign) % M,
                                     ext.basis.index(P)))
     group = ext.group.join(gens)
@@ -125,11 +124,13 @@ def compare(ext: NormalizedExtension, cl: GenusField,
     genus field ``cl``.
 
     All three groups live over the extension's own prime basis, so the
-    subgroup engine answers every question directly.
+    subgroup engine answers both containments directly; equality is
+    then equality of degrees, since nested finite groups of equal order
+    coincide.
     """
     k_in_r = ra.group.contains(ext.group)
     r_in_c = cl.group.contains(ra.group)
-    eq = r_in_c and ra.group.contains(cl.group)
+    eq = r_in_c and ra.degree == cl.degree
     index = cl.degree // ra.degree if r_in_c else 0
     return ComparisonReport(
         k_in_rarzvi=k_in_r, rarzvi_in_clement=r_in_c, rarzvi_eq_clement=eq,
@@ -171,7 +172,7 @@ def signed_closed_form_agrees(ext: NormalizedExtension, ra: GenusField):
     field = ext.field
     M = ext.group.modulus
     dim = ext.group.dim
-    ram = ramification_indices(ext)
+    ram = ext.ramification
     kept_comps = [desc.components[i] for i in ext.kept]
     if not kept_comps or len(kept_comps) != len(ram):
         return None

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
-
-from .intmath import divisors
+from math import gcd, lcm, prod
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +202,15 @@ class RadicandGroup:
     def constant_subgroup_order(self) -> int:
         """Order of the intersection with the pure-constant line Z/M x 0 x ...
 
-        This is the largest divisor d of M whose order-d constant vector
-        (M/d, 0, ..., 0) belongs to the group; the Kummer field attached
-        to the group has field of constants F_(q^d).
+        With U A V = S the Smith form of the lattice, (c, 0, ..., 0) is a
+        member exactly when s_j | c * V[0][j] for all j, so the order is
+        d = M / lcm_j(s_j / gcd(s_j, V[0][j])), and the Kummer field of
+        the group has constants F_(q^d).
         """
-        M = self.modulus
-        for d in reversed(divisors(M)):
-            vec = (M // d,) + (0,) * (self.dim - 1)
-            if self.member(vec):
-                return d
-        return 1  # unreachable: d = 1 always succeeds
+        form = self._form()
+        row = form.col_transform[0]
+        return self.modulus // lcm(*(s // gcd(s, v)
+                                     for s, v in zip(form.diag, row)))
 
 
 @lru_cache(maxsize=4096)

@@ -11,14 +11,16 @@ The subgroup those vectors span decides the degree, the Galois
 structure and every containment question for the extension.
 
 Ramification at a finite prime is tame here (m | q - 1) and is read off
-the vectors.  An oracle recomputes it componentwise over the basis that
-`normalize` built, with its own valuations.  The valuation of a radicand
-at the infinite place is -deg(D), which yields the reported index over 1/T.
+the vectors once per extension, into ``ext.ramification``.  An oracle
+recomputes it componentwise over the basis that `normalize` built, with
+its own valuations.  The valuation of a radicand at the infinite place
+is -deg(D), which yields the reported index over 1/T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvalidDescriptorError
@@ -102,19 +104,6 @@ class RadicandVector:
 
 
 @dataclass(frozen=True)
-class RamificationData:
-    """Ramified finite primes with their indices, canonical order, e >= 2 only."""
-
-    entries: tuple[tuple[MonicIrreducible, int], ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class NormalizedExtension:
     """A validated descriptor together with its vector model."""
 
@@ -137,6 +126,11 @@ class NormalizedExtension:
 
     def degree(self) -> int:
         return self.group.order()
+
+    @cached_property
+    def ramification(self) -> tuple[tuple[MonicIrreducible, int], ...]:
+        """The ramified finite primes with their indices, computed once."""
+        return ramification_indices(self)
 
 
 def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
@@ -176,9 +170,9 @@ def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
         group=group, n=n, component_degrees=degrees, degenerate=not kept)
 
 
-def ramification_indices(ext: NormalizedExtension) -> RamificationData:
-    """e_P as the order of the group's image under projection to the
-    P-coordinate; primes with e_P = 1 are omitted."""
+def ramification_indices(ext: NormalizedExtension) -> tuple:
+    """(P, e_P) pairs in basis order, e_P the order of the group's image
+    under projection to the P-coordinate; primes with e_P = 1 are omitted."""
     M = ext.group.modulus
     entries = []
     for j, P in enumerate(ext.basis):
@@ -186,10 +180,10 @@ def ramification_indices(ext: NormalizedExtension) -> RamificationData:
         e = M // gcd(M, *coords) if coords else 1
         if e > 1:
             entries.append((P, e))
-    return RamificationData(tuple(entries))
+    return tuple(entries)
 
 
-def ramification_lcm_oracle(ext: NormalizedExtension) -> RamificationData:
+def ramification_lcm_oracle(ext: NormalizedExtension) -> tuple:
     """Independent componentwise formula: e_P = lcm_i m_i / gcd(m_i, v_P(D_i)).
 
     Valuations by trial division at each prime of ``ext.basis``, not from
@@ -204,7 +198,7 @@ def ramification_lcm_oracle(ext: NormalizedExtension) -> RamificationData:
             e = lcm(e, comp.m // gcd(comp.m, v))
         if e > 1:
             entries.append((P, e))
-    return RamificationData(tuple(entries))
+    return tuple(entries)
 
 
 def infinite_ramification(ext: NormalizedExtension) -> int:

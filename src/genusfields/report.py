@@ -8,7 +8,9 @@ values is insignificant)::
 
 Constants are integers 0..p-1 on prime fields and ``g^<k>`` (or ``0``)
 on extension fields, where g is the canonical generator; polynomials
-are ``+``-separated monomials ``c*T^e``, ``T^e``, ``T`` or ``c``.  The
+are ``+``-separated monomials ``c*T^e``, ``T^e``, ``T`` or ``c``.  Every
+integer (``<int>``, ``<k>``, ``e`` and ``c``, ``mod`` coefficients) is
+ASCII digits 0-9 only: no sign, no underscore, no other digits.  The
 ``field`` line must come first and at least one ``component`` must
 follow.  This module also owns the canonical renderings of constants
 and polynomials, so reports are byte-identical across runs for a fixed
@@ -28,7 +30,7 @@ from .genus import (GenusField, clement_genus_field, compare,
                     rarzvi_genus_field, signed_closed_form_agrees,
                     verify_degree_formula)
 from .kummer import (KummerComponent, KummerDescriptor, infinite_ramification,
-                     normalize, ramification_indices, ramification_lcm_oracle)
+                     normalize, ramification_lcm_oracle)
 from .polyring import Poly
 
 _MAX_EXPONENT = 1 << 12
@@ -81,23 +83,31 @@ def render_modulus(field: FqField) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
+_UINT_RE = re.compile(r"[0-9]+")
+
+
+def _parse_uint(token: str, error: str) -> int:
+    """The grammar's <int>; raises ``ValueError(error)`` on anything else."""
+    if _UINT_RE.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:   # more digits than int() converts
+            pass
+    raise ValueError(error)
+
+
 def parse_const(field: FqField, token: str) -> FqElem:
     token = token.strip()
     if token == "g":
         return field.g
     if token.startswith("g^"):
-        exp = token[2:]
-        if not exp.isdigit():
-            raise ValueError(f"bad generator power {token!r}")
-        return field.g ** int(exp)
-    if token.isdigit():
-        value = int(token)
-        if value >= field.p:
-            raise ValueError(f"constant {value} not in F_{field.q}"
-                             if field.f == 1 else
-                             f"integer constants must lie in 0..{field.p - 1}")
-        return field.const(value)
-    raise ValueError(f"cannot parse constant {token!r}")
+        return field.g ** _parse_uint(token[2:], f"bad generator power {token!r}")
+    value = _parse_uint(token, f"cannot parse constant {token!r}")
+    if value >= field.p:
+        raise ValueError(f"constant {value} not in F_{field.q}"
+                         if field.f == 1 else
+                         f"integer constants must lie in 0..{field.p - 1}")
+    return field.const(value)
 
 
 def _parse_monomial(field: FqField, token: str, var: str) -> tuple[FqElem, int]:
@@ -119,12 +129,12 @@ def _parse_monomial(field: FqField, token: str, var: str) -> tuple[FqElem, int]:
 def _parse_varpow(token: str, var: str) -> int:
     if token == var:
         return 1
-    if token.startswith(var + "^") and token[len(var) + 1:].isdigit():
-        exp = int(token[len(var) + 1:])
-        if exp > _MAX_EXPONENT:
-            raise ValueError(f"exponent {exp} too large")
-        return exp
-    raise ValueError(f"bad power of {var}: {token!r}")
+    if not token.startswith(var + "^"):
+        raise ValueError(f"bad power of {var}: {token!r}")
+    exp = _parse_uint(token[len(var) + 1:], f"bad power of {var}: {token!r}")
+    if exp > _MAX_EXPONENT:
+        raise ValueError(f"exponent {exp} too large")
+    return exp
 
 
 def parse_poly(field: FqField, token: str, var: str = "T") -> Poly:
@@ -151,15 +161,13 @@ def _parse_modulus_text(p: int, token: str) -> tuple[int, ...]:
             raise ValueError(f"empty monomial in {token!r}")
         if "*" in mono:
             c_tok, _, v_tok = mono.partition("*")
-            if not c_tok.isdigit():
-                raise ValueError(f"bad coefficient {c_tok!r}")
-            coef, exp = int(c_tok), _parse_varpow(v_tok, "x")
+            coef = _parse_uint(c_tok, f"bad coefficient {c_tok!r}")
+            exp = _parse_varpow(v_tok, "x")
         elif mono.startswith("x"):
             coef, exp = 1, _parse_varpow(mono, "x")
-        elif mono.isdigit():
-            coef, exp = int(mono), 0
         else:
-            raise ValueError(f"cannot parse monomial {mono!r}")
+            coef = _parse_uint(mono, f"cannot parse monomial {mono!r}")
+            exp = 0
         if coef >= p:
             raise ValueError(f"modulus coefficient {coef} not in 0..{p - 1}")
         coeffs[exp] = (coeffs.get(exp, 0) + coef) % p
@@ -204,6 +212,15 @@ def _split_assignments(body: str, line_no: int, offset: int):
     return out
 
 
+def _int_value(seen, key, line_no, what="an integer") -> int:
+    """The <int> value of ``key``; a ParseError points at the value."""
+    value, col = seen[key]
+    try:
+        return _parse_uint(value, f"{key} must be {what}")
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no, col) from None
+
+
 def _parse_field_line(assigns, line_no):
     seen = {}
     for key, value, col in assigns:
@@ -215,11 +232,7 @@ def _parse_field_line(assigns, line_no):
     for key in ("p", "f"):
         if key not in seen:
             raise ParseError(f"field line is missing {key!r}", line_no, 1)
-    try:
-        p = int(seen["p"][0])
-        f = int(seen["f"][0])
-    except ValueError:
-        raise ParseError("p and f must be integers", line_no, seen["p"][1]) from None
+    p, f = (_int_value(seen, key, line_no) for key in ("p", "f"))
 
     modulus = None
     if "mod" in seen:
@@ -265,11 +278,8 @@ def _parse_component_line(field, assigns, line_no, strict):
         raise ParseError(str(exc), line_no, col) from None
     if not D.is_monic():
         raise ParseError("D must be monic", line_no, col)
-    value, col = seen["m"]
-    try:
-        m = int(value) if value.isdigit() else 0
-    except ValueError:   # a digit int() refuses, or over its digit limit
-        m = 0
+    col = seen["m"][1]
+    m = _int_value(seen, "m", line_no, "a positive integer")
     if m < 1:
         raise ParseError("m must be a positive integer", line_no, col)
     if strict and (field.q - 1) % m != 0:
@@ -418,16 +428,19 @@ def _genus_payload(field, gf: GenusField, with_radicals: bool) -> dict:
     return out
 
 
-def _audit(ext, cl, ra):
+def _audit(ext, cl, ra, rep):
+    """Every cross-check of a job; ``rep`` is ``compare(ext, cl, ra)``."""
     if not verify_degree_formula(cl, ext):
         raise InternalCheckError("degree formula violated")
-    if not ra.group.contains(ext.group):
+    if not rep.k_in_rarzvi:
         raise InternalCheckError("containment chain violated: K not in rarzvi")
-    if not cl.group.contains(ra.group):
+    if not rep.rarzvi_in_clement:
         raise InternalCheckError("containment chain violated: rarzvi not in clement")
+    if rep.index_rarzvi_in_clement * rep.degree_rarzvi != rep.degree_clement:
+        raise InternalCheckError("comparison index is not the degree ratio")
     if cl.group.constant_subgroup_order() != ext.n:
         raise InternalCheckError("constant field of the genus field is not F_(q^n)")
-    if ramification_indices(ext).entries != ramification_lcm_oracle(ext).entries:
+    if ext.ramification != ramification_lcm_oracle(ext):
         raise InternalCheckError("ramification formulas disagree")
     for gf in (cl, ra):
         if prod(gf.galois) != gf.degree:
@@ -450,7 +463,8 @@ def run(config: JobConfig) -> Report:
 
     cl = clement_genus_field(ext)
     ra = rarzvi_genus_field(ext)
-    _audit(ext, cl, ra)
+    rep = compare(ext, cl, ra)
+    _audit(ext, cl, ra, rep)
 
     warnings = []
     for i in ext.dropped:
@@ -481,7 +495,7 @@ def run(config: JobConfig) -> Report:
         },
         "ramification": {
             "finite": [{"prime": render_poly(P.poly), "e": e}
-                       for P, e in ramification_indices(ext)],
+                       for P, e in ext.ramification],
         },
         "clement": _genus_payload(field, cl, with_radicals=True),
         "rarzvi": _genus_payload(field, ra, with_radicals=False),
@@ -491,10 +505,6 @@ def run(config: JobConfig) -> Report:
     if config.include_infinite:
         payload["ramification"]["infinite"] = infinite_ramification(ext)
     if config.include_comparison:
-        rep = compare(ext, cl, ra)
-        if rep.rarzvi_in_clement and \
-                rep.index_rarzvi_in_clement * rep.degree_rarzvi != rep.degree_clement:
-            raise InternalCheckError("comparison index is not the degree ratio")
         payload["comparison"] = {
             "k_in_rarzvi": rep.k_in_rarzvi,
             "rarzvi_in_clement": rep.rarzvi_in_clement,

@@ -133,8 +133,7 @@ def test_criterion_07_ramification_oracles(corpus):
     ok = True
     checked_small = 0
     for desc, ext in corpus:
-        ok &= ramification_indices(ext).entries == \
-            ramification_lcm_oracle(ext).entries
+        ok &= ramification_indices(ext) == ramification_lcm_oracle(ext)
         M, dim = ext.group.modulus, ext.group.dim
         if M ** dim <= ENUM_LIMIT:
             checked_small += 1

@@ -168,6 +168,17 @@ def test_chain_random():
         assert cl.group.constant_subgroup_order() == ext.n
 
 
+def test_rarzvi_eq_clement_matches_mutual_containment():
+    # compare decides equality from the degrees; mutual containment is the
+    # reference for that shortcut
+    rng = random.Random(34)
+    for _ in range(300):
+        ext = normalize(random_descriptor(rng))
+        cl = clement_genus_field(ext)
+        ra = rarzvi_genus_field(ext)
+        assert compare(ext, cl, ra).rarzvi_eq_clement == ra.group.equals(cl.group)
+
+
 def test_closed_form_diagnostic(F5, F7):
     # gamma itself a non-square over F_7: the rewritten form drops the
     # non-square unit and lands in a different field

@@ -46,6 +46,24 @@ def test_parse_whitespace_and_comments(F5):
     assert config.components[0].D == P(F5, [1, 0, 1])
 
 
+# the grammar's integers are ASCII digits only, unsigned, without
+# underscores: (line, col, job text) of inputs that break the rule
+BAD_INTS = (
+    (1, 7, "field p=1_3 f=1\ncomponent gamma=1 D=T m=1\n"),
+    (1, 12, "field p=13 f=\uff11\ncomponent gamma=1 D=T m=1\n"),
+    (1, 7, "field p=+13 f=1\ncomponent gamma=1 D=T m=1\n"),
+    (2, 11, "field p=13 f=1\ncomponent gamma=\u0663 D=T m=3\n"),
+    (2, 11, "field p=13 f=1\ncomponent gamma=1_2 D=T m=3\n"),
+    (2, 19, "field p=13 f=1\ncomponent gamma=3 D=T^\u0661 m=3\n"),
+    (2, 19, "field p=13 f=1\ncomponent gamma=3 D=T^+2 m=3\n"),
+    (2, 23, "field p=13 f=1\ncomponent gamma=3 D=T m=\u0663\n"),
+    (2, 11, "field p=3 f=2\ncomponent gamma=g^\u0661 D=T m=2\n"),
+    (1, 15, "field p=3 f=2 mod=x^\uff12+x+2\ncomponent gamma=1 D=T m=2\n"),
+    (1, 15, "field p=3 f=2 mod=x^2+1_0*x+2\ncomponent gamma=1 D=T m=2\n"),
+    (1, 15, "field p=3 f=2 mod=x^2+x+\u0662\ncomponent gamma=1 D=T m=2\n"),
+)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_input("field p=5 f=1\ncomponent gamma=2 D=T m=2 extra=1\n")
@@ -67,6 +85,13 @@ def test_parse_errors_carry_position():
         parse_input("field p=5 f=1\n")                              # no components
     with pytest.raises(ParseError):
         parse_input("orbit gamma=1\n")
+    with pytest.raises(ParseError) as err:
+        parse_input("field p=5 f=x\ncomponent gamma=1 D=T m=1\n")
+    assert (err.value.line, err.value.col) == (1, 11)           # at the f value
+    for line, col, text in BAD_INTS:
+        with pytest.raises(ParseError) as err:
+            parse_input(text)
+        assert (err.value.line, err.value.col) == (line, col), text
 
 
 def test_strict_mode_rejects_bad_m_at_parse():
@@ -194,6 +219,27 @@ def test_run_factors_each_radicand_once(F5, monkeypatch):
     assert calls == [D, E]
 
 
+def test_run_computes_ramification_once(F5, monkeypatch):
+    import genusfields.genus as genus_mod
+    import genusfields.kummer as kummer_mod
+    import genusfields.report as report_mod
+    calls = []
+    real = kummer_mod.ramification_indices
+
+    def counting(ext):
+        calls.append(ext)
+        return real(ext)
+
+    # rebind the name wherever the package binds it
+    for mod in (kummer_mod, genus_mod, report_mod):
+        if hasattr(mod, "ramification_indices"):
+            monkeypatch.setattr(mod, "ramification_indices", counting)
+    comps = [KummerComponent(F5.const(2), P(F5, [0, 1, 2, 1]), 4),
+             KummerComponent(F5.one, P(F5, [1, 1]), 2)]
+    run(_config(F5, comps, include_comparison=True, include_infinite=True))
+    assert len(calls) == 1
+
+
 def test_audit_failure_raises(F5, monkeypatch):
     import genusfields.report as report_mod
     monkeypatch.setattr(report_mod, "verify_degree_formula",
@@ -262,6 +308,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         odd.write_text(f"field p=5 f=1\ncomponent gamma=2 D=T m={m}\n",
                        encoding="utf-8")
         assert main(["compute", str(odd)]) == 2
+    for _, _, text in BAD_INTS:
+        odd.write_text(text, encoding="utf-8")
+        assert main(["compute", str(odd)]) == 2
     capsys.readouterr()
     import genusfields.report as report_mod
     monkeypatch.setattr(report_mod, "verify_degree_formula",
@@ -270,6 +319,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     job.write_text(JOB, encoding="utf-8")
     assert main(["compute", str(job)]) == 4
     capsys.readouterr()
+
+
+def test_cli_selftest(capsys, monkeypatch):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.endswith("selftest passed\n")
+    import genusfields.selftest as selftest_mod
+    monkeypatch.setattr(selftest_mod, "check_dlog_roundtrip", lambda: False)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL dlog round trip" in out and out.endswith("selftest FAILED\n")
 
 
 def test_cli_unreadable_job_file(tmp_path, capsys):
