@@ -16,9 +16,8 @@ from .genus import (ComparisonReport, GenusField, as_descriptor,
 from .groups import (RadicandGroup, SmithForm, enumerate_subgroup,
                      smith_normal_form)
 from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
-                     PrimeBasis, RadicandVector, embed_group,
-                     infinite_ramification, normalize, ramification_indices,
-                     ramification_lcm_oracle)
+                     embed_group, infinite_ramification, normalize,
+                     ramification_indices, ramification_lcm_oracle)
 from .polyring import (MonicIrreducible, Poly, factor, gcd, is_irreducible,
                        poly_sort_key, pow_mod, squarefree_decomposition,
                        valuation, variable)
@@ -31,8 +30,8 @@ __all__ = [
     "DEFAULT_MAX_Q", "ComparisonReport", "FqElem", "FqField", "GenusField",
     "InternalCheckError", "InvalidDescriptorError", "JobConfig",
     "KummerComponent", "KummerDescriptor", "MonicIrreducible",
-    "NormalizedExtension", "ParseError", "Poly", "PrimeBasis", "RadicandGroup",
-    "RadicandVector", "Report", "SmithForm",
+    "NormalizedExtension", "ParseError", "Poly", "RadicandGroup", "Report",
+    "SmithForm",
     "as_descriptor", "build_field", "clement_genus_field", "compare",
     "element_sort_key", "embed_group", "enumerate_subgroup", "factor", "gcd",
     "infinite_ramification", "is_irreducible", "normalize", "parse_input",

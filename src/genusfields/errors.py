@@ -13,6 +13,14 @@ class ParseError(ValueError):
         self.col = col
 
 
+class FieldArgumentError(ValueError):
+    """A `build_field` refusal; ``arg`` names the argument refused."""
+
+    def __init__(self, arg, message):
+        super().__init__(message)
+        self.arg = arg
+
+
 class InvalidDescriptorError(ValueError):
     """Extension data that violates a descriptor invariant."""
 

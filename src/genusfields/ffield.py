@@ -39,6 +39,7 @@ from array import array
 from math import isqrt
 from operator import lshift, mul, pos, xor
 
+from .errors import FieldArgumentError
 from .intmath import is_prime, prime_factors
 from .kernel import rabin
 
@@ -159,39 +160,44 @@ def build_field(p: int, f: int, *, modulus=None, generator=None,
     ``modulus`` overrides the defining polynomial (monic, degree f,
     irreducible, constant term first including the leading 1) and
     ``generator`` overrides the canonical generator (a coefficient
-    vector of length f); both are validated.
+    vector of length f); both are validated.  A refusal is a
+    :class:`FieldArgumentError` whose ``arg`` names the argument refused;
+    a q over ``max_q`` is charged to f unless p alone exceeds it.
     """
     if not isinstance(f, int) or f < 1:
-        raise ValueError(f"f must be a positive integer, got {f!r}")
+        raise FieldArgumentError("f", f"f must be a positive integer, got {f!r}")
     # refused before is_prime(p) and p ** f, whose costs grow with p and f
     if isinstance(p, int) and (p > max_q or f > max_q.bit_length()):
-        raise ValueError(f"q = p^f exceeds the configured bound {max_q}")
+        raise FieldArgumentError("p" if p > max_q else "f",
+                                 f"q = p^f exceeds the configured bound {max_q}")
     if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
+        raise FieldArgumentError("p", f"p must be prime, got {p!r}")
     q = p ** f
     if q > max_q:
-        raise ValueError(f"q = {q} exceeds the configured bound {max_q}")
+        raise FieldArgumentError("f", f"q = {q} exceeds the configured bound {max_q}")
 
     if modulus is None:
         modulus = _find_modulus(p, f)
     else:
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != f + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree f")
+            raise FieldArgumentError("modulus", "modulus must be monic of degree f")
         if any(not 0 <= c < p for c in modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
+            raise FieldArgumentError("modulus",
+                                     "modulus coefficients must lie in [0, p)")
         if f > 1 and not rabin(_prime_field(p), list(modulus)):
-            raise ValueError("modulus is not irreducible over F_p")
+            raise FieldArgumentError("modulus", "modulus is not irreducible over F_p")
 
     if generator is None:
         generator = _find_generator(p, f, q, modulus)
     else:
         generator = tuple(int(c) % p for c in generator)
         if len(generator) != f:
-            raise ValueError("generator must have f coordinates")
+            raise FieldArgumentError("generator", "generator must have f coordinates")
         if not any(generator) or \
                 _element_order(generator, q, *_coord_mul(modulus, p)) != q - 1:
-            raise ValueError("generator does not have order q - 1")
+            raise FieldArgumentError("generator",
+                                     "generator does not have order q - 1")
 
     return FqField(p, f, modulus, generator)
 

@@ -23,8 +23,7 @@ from math import prod
 
 from .ffield import FqField, FqElem
 from .groups import RadicandGroup
-from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
-                     PrimeBasis)
+from .kummer import KummerComponent, KummerDescriptor, NormalizedExtension
 from .polyring import MonicIrreducible, Poly
 
 
@@ -38,7 +37,6 @@ class GenusField:
     """
 
     field: FqField
-    basis: PrimeBasis
     constant_degree: int
     radicals: tuple[tuple[int, FqElem, MonicIrreducible], ...]
     group: RadicandGroup
@@ -88,7 +86,7 @@ def clement_genus_field(ext: NormalizedExtension) -> GenusField:
         radicals.append((e, field.one, P))
         gens.append(_radical_vector(M, dim, e, 0, ext.basis.index(P)))
     group = RadicandGroup.spanned_by(M, dim, gens)
-    return GenusField(field=field, basis=ext.basis, constant_degree=n,
+    return GenusField(field=field, constant_degree=n,
                       radicals=tuple(radicals), group=group,
                       degree=group.order(), galois=group.invariant_factors(),
                       canonical=True)
@@ -112,7 +110,7 @@ def rarzvi_genus_field(ext: NormalizedExtension) -> GenusField:
         gens.append(_radical_vector(M, dim, e, (P.deg * sign) % M,
                                     ext.basis.index(P)))
     group = ext.group.join(gens)
-    return GenusField(field=field, basis=ext.basis,
+    return GenusField(field=field,
                       constant_degree=group.constant_subgroup_order(),
                       radicals=(), group=group, degree=group.order(),
                       galois=group.invariant_factors(), canonical=False)

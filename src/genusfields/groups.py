@@ -1,10 +1,14 @@
 """Finitely generated subgroups of (Z/M)^d, answered exactly.
 
 Membership, order, containment and invariant factors are all reduced to
-integer Smith normal form: a subgroup given by generator rows is the
-image of the integer lattice spanned by those rows together with M
-times the standard basis, so every question becomes lattice arithmetic
-over Z.  Matrices here are tiny (dimension 1 + number of basis primes)
+integer Smith normal form.  A subgroup given by generator rows A is the
+image of the lattice L = rowspace(A) + M * Z^d.  If A V = U^-1 diag(a)
+is the Smith form of the generator rows alone, a padded with zeros to
+length d, then L V = (+)_j (a_j Z + M Z) = (+)_j gcd(a_j, M) Z, since U
+and V are unimodular.  So one Smith form of the k generator rows, each
+a_j replaced by gcd(a_j, M) (and gcd(0, M) = M, which keeps the
+divisibility chain), answers every question as lattice arithmetic over
+Z.  Matrices here are tiny (k rows, 1 + number of basis primes columns)
 and Python integers are exact, so no modular shortcuts are needed.
 
 Pivoting is deterministic: the entry of smallest nonzero absolute
@@ -21,22 +25,17 @@ from math import gcd, lcm, prod
 # ---------------------------------------------------------------------------
 # integer matrices
 
-def _identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class SmithForm:
-    """U @ A @ V = S with U, V unimodular and S diagonal, d_1 | d_2 | ...
+    """A V = U^-1 S with U, V unimodular and S diagonal, d_1 | d_2 | ...
 
     ``diag`` holds the min(m, n) diagonal entries of S (nonnegative,
-    trailing zeros when the rank is deficient).
+    trailing zeros when the rank is deficient) and ``col_transform`` is
+    V; U is not kept.
     """
 
     diag: tuple[int, ...]
-    row_transform: tuple[tuple[int, ...], ...]
     col_transform: tuple[tuple[int, ...], ...]
-    shape: tuple[int, int]
 
 
 def _find_pivot(S, t, m, n):
@@ -52,29 +51,22 @@ def _find_pivot(S, t, m, n):
 
 
 def smith_normal_form(matrix) -> SmithForm:
-    """Smith normal form of an integer matrix, with transforms."""
+    """Smith normal form of an integer matrix, with its column transform."""
     S = [list(map(int, row)) for row in matrix]
     m = len(S)
     n = len(S[0]) if m else 0
     if any(len(row) != n for row in S):
         raise ValueError("matrix rows must have equal length")
-    U = _identity(m)
-    V = _identity(n)
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def add_row(dst, src, mult):
         S[dst] = [a + mult * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + mult * b for a, b in zip(U[dst], U[src])]
 
     def add_col(dst, src, mult):
         for row in S:
             row[dst] += mult * row[src]
         for row in V:
             row[dst] += mult * row[src]
-
-    def swap_rows(i, j):
-        if i != j:
-            S[i], S[j] = S[j], S[i]
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -88,7 +80,7 @@ def smith_normal_form(matrix) -> SmithForm:
         if piv is None:
             break
         while True:
-            swap_rows(t, piv[0])
+            S[t], S[piv[0]] = S[piv[0]], S[t]
             swap_cols(t, piv[1])
             a = S[t][t]
             for i in range(t + 1, m):
@@ -115,13 +107,9 @@ def smith_normal_form(matrix) -> SmithForm:
             piv = (t, t)
         if S[t][t] < 0:
             S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
 
-    diag = tuple(S[i][i] for i in range(min(m, n)))
-    return SmithForm(diag=diag,
-                     row_transform=tuple(tuple(r) for r in U),
-                     col_transform=tuple(tuple(r) for r in V),
-                     shape=(m, n))
+    return SmithForm(diag=tuple(S[i][i] for i in range(min(m, n))),
+                     col_transform=tuple(tuple(r) for r in V))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +146,7 @@ class RadicandGroup:
             raise ValueError("modulus or dimension mismatch")
 
     def member(self, vector) -> bool:
-        """Exact membership of a vector, solved over the stacked lattice."""
+        """Exact membership of a vector: v V must lie in (+)_j s_j Z."""
         M = self.modulus
         v = tuple(int(x) % M for x in vector)
         if len(v) != self.dim:
@@ -196,16 +184,15 @@ class RadicandGroup:
     def join(self, extra_generators) -> "RadicandGroup":
         """The subgroup generated by this one and further vectors."""
         return RadicandGroup.spanned_by(
-            self.modulus, self.dim, self.generators + tuple(
-                tuple(int(x) % self.modulus for x in v) for v in extra_generators))
+            self.modulus, self.dim, self.generators + tuple(extra_generators))
 
     def constant_subgroup_order(self) -> int:
         """Order of the intersection with the pure-constant line Z/M x 0 x ...
 
-        With U A V = S the Smith form of the lattice, (c, 0, ..., 0) is a
-        member exactly when s_j | c * V[0][j] for all j, so the order is
-        d = M / lcm_j(s_j / gcd(s_j, V[0][j])), and the Kummer field of
-        the group has constants F_(q^d).
+        With L V = (+)_j s_j Z for the lattice L of the group,
+        (c, 0, ..., 0) is a member exactly when s_j | c * V[0][j] for all
+        j, so the order is d = M / lcm_j(s_j / gcd(s_j, V[0][j])), and the
+        Kummer field of the group has constants F_(q^d).
         """
         form = self._form()
         row = form.col_transform[0]
@@ -215,14 +202,11 @@ class RadicandGroup:
 
 @lru_cache(maxsize=4096)
 def _lattice_form(modulus, dim, generators) -> SmithForm:
-    rows = [list(g) for g in generators]
-    for i in range(dim):
-        row = [0] * dim
-        row[i] = modulus
-        rows.append(row)
-    form = smith_normal_form(rows)
-    assert all(s > 0 and modulus % s == 0 for s in form.diag)
-    return form
+    """Smith form of rowspace(generators) + modulus * Z^dim, from the
+    generator rows alone (see the module docstring)."""
+    form = smith_normal_form([list(g) for g in generators] or [[0] * dim])
+    diag = form.diag + (0,) * (dim - len(form.diag))
+    return SmithForm(tuple(gcd(a, modulus) for a in diag), form.col_transform)
 
 
 def enumerate_subgroup(group: RadicandGroup, limit: int = 1 << 16) -> frozenset:

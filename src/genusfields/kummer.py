@@ -3,15 +3,16 @@
 A descriptor lists components (gamma, D, m): gamma a nonzero constant,
 D a monic polynomial, m a divisor of q - 1, one component per adjoined
 m-th root of gamma * D.  `normalize` rewrites each component as a
-vector modulo M = q - 1 over the basis of primes dividing any D:
-coordinate 0 carries the discrete log of the constant part, each later
-coordinate the valuation at one basis prime, and the whole component
-vector is (M / m) times that data, the class of (gamma * D)^(M/m).
-The subgroup those vectors span decides the degree, the Galois
-structure and every containment question for the extension.
+plain integer row modulo M = q - 1 over ``ext.basis``, the sorted tuple
+of the primes dividing any D: entry 0 carries the discrete log of the
+constant part, entry 1 + j the valuation at ``ext.basis[j]``, and the
+whole row is (M / m) times that data, the class of (gamma * D)^(M/m).
+``ext.rows`` holds one such row per component.  The subgroup the rows
+span decides the degree, the Galois structure and every containment
+question for the extension.
 
 Ramification at a finite prime is tame here (m | q - 1) and is read off
-the vectors once per extension, into ``ext.ramification``.  An oracle
+the rows once per extension, into ``ext.ramification``.  An oracle
 recomputes it componentwise over the basis that `normalize` built, with
 its own valuations.  The valuation of a radicand at the infinite place
 is -deg(D), which yields the reported index over 1/T.
@@ -61,59 +62,15 @@ class KummerDescriptor:
 
 
 @dataclass(frozen=True)
-class PrimeBasis:
-    """Sorted, duplicate-free monic irreducibles indexing vector coordinates."""
-
-    primes: tuple[MonicIrreducible, ...]
-
-    @classmethod
-    def from_primes(cls, primes) -> "PrimeBasis":
-        unique = {P.sort_key(): P for P in primes}
-        return cls(tuple(unique[k] for k in sorted(unique)))
-
-    def index(self, P: MonicIrreducible) -> int:
-        for i, Q in enumerate(self.primes):
-            if Q == P:
-                return i
-        raise ValueError("prime not in basis")
-
-    def __len__(self):
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-
-@dataclass(frozen=True)
-class RadicandVector:
-    """A radicand class mod M: dlog of the constant part, then one
-    exponent per basis prime."""
-
-    modulus: int
-    const_coord: int
-    exps: tuple[int, ...]
-
-    def row(self) -> tuple[int, ...]:
-        return (self.const_coord,) + self.exps
-
-    def order(self) -> int:
-        return self.modulus // gcd(self.modulus, self.const_coord, *self.exps)
-
-    def is_zero(self) -> bool:
-        return self.const_coord == 0 and not any(self.exps)
-
-
-@dataclass(frozen=True)
 class NormalizedExtension:
     """A validated descriptor together with its vector model."""
 
     descriptor: KummerDescriptor
-    basis: PrimeBasis
-    vectors: tuple[RadicandVector, ...]   # one per original component
+    basis: tuple[MonicIrreducible, ...]   # sorted, duplicate-free
+    rows: tuple[tuple[int, ...], ...]     # (const dlog, exps...) per component
     kept: tuple[int, ...]                 # indices of non-trivial components
     group: RadicandGroup
     n: int                                # exponent of the Galois group
-    component_degrees: tuple[int, ...]
     degenerate: bool                      # K = k
 
     @property
@@ -122,7 +79,7 @@ class NormalizedExtension:
 
     @property
     def dropped(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.vectors)) if i not in self.kept)
+        return tuple(i for i in range(len(self.rows)) if i not in self.kept)
 
     def degree(self) -> int:
         return self.group.order()
@@ -136,8 +93,9 @@ class NormalizedExtension:
 def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
     """Factor the radicands, build the vector model and span the group.
 
-    Each distinct radicand is factored once.  Components whose radicand
-    is already an m-th power contribute the zero vector; they are dropped
+    Each distinct radicand is factored once, and the primes of all of
+    them, sorted and deduplicated, form ``basis``.  Components whose
+    radicand is already an m-th power contribute the zero row; they are dropped
     from the generating set (their index appears in ``dropped``) and if
     nothing remains the extension is the base field itself, flagged
     ``degenerate``.
@@ -148,26 +106,22 @@ def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
     for comp in desc.components:
         if comp.D.degree() > 0 and comp.D not in factored:
             factored[comp.D] = factor(comp.D, seed)
-    basis = PrimeBasis.from_primes(
-        P for fac in factored.values() for P, _ in fac)
+    primes = {P.sort_key(): P for fac in factored.values() for P, _ in fac}
+    basis = tuple(primes[k] for k in sorted(primes))
 
-    vectors = []
+    rows = []
     for comp in desc.components:
         scale = M // comp.m
-        const = (scale * field.dlog(comp.gamma)) % M
-        exps = [0] * len(basis)
+        row = [(scale * field.dlog(comp.gamma)) % M] + [0] * len(basis)
         for P, a in factored.get(comp.D, ()):
-            exps[basis.index(P)] = (scale * a) % M
-        vectors.append(RadicandVector(M, const, tuple(exps)))
+            row[1 + basis.index(P)] = (scale * a) % M
+        rows.append(tuple(row))
 
-    kept = tuple(i for i, v in enumerate(vectors) if not v.is_zero())
-    group = RadicandGroup.spanned_by(
-        M, 1 + len(basis), [vectors[i].row() for i in kept])
-    degrees = tuple(v.order() for v in vectors)
-    n = group.exponent()
+    kept = tuple(i for i, row in enumerate(rows) if any(row))
+    group = RadicandGroup.spanned_by(M, 1 + len(basis), [rows[i] for i in kept])
     return NormalizedExtension(
-        descriptor=desc, basis=basis, vectors=tuple(vectors), kept=kept,
-        group=group, n=n, component_degrees=degrees, degenerate=not kept)
+        descriptor=desc, basis=basis, rows=tuple(rows), kept=kept,
+        group=group, n=group.exponent(), degenerate=not kept)
 
 
 def ramification_indices(ext: NormalizedExtension) -> tuple:
@@ -176,7 +130,7 @@ def ramification_indices(ext: NormalizedExtension) -> tuple:
     M = ext.group.modulus
     entries = []
     for j, P in enumerate(ext.basis):
-        coords = [ext.vectors[i].exps[j] for i in ext.kept]
+        coords = [ext.rows[i][1 + j] for i in ext.kept]
         e = M // gcd(M, *coords) if coords else 1
         if e > 1:
             entries.append((P, e))
@@ -187,7 +141,7 @@ def ramification_lcm_oracle(ext: NormalizedExtension) -> tuple:
     """Independent componentwise formula: e_P = lcm_i m_i / gcd(m_i, v_P(D_i)).
 
     Valuations by trial division at each prime of ``ext.basis``, not from
-    the vectors.  Inertia in a tame abelian compositum is cyclic of lcm
+    the rows.  Inertia in a tame abelian compositum is cyclic of lcm
     order, so this must agree with :func:`ramification_indices`.
     """
     entries = []
@@ -211,8 +165,8 @@ def infinite_ramification(ext: NormalizedExtension) -> int:
     M = ext.group.modulus
     images = []
     for i in ext.kept:
-        vec = ext.vectors[i]
-        img = -sum(P.deg * vec.exps[j] for j, P in enumerate(ext.basis))
+        row = ext.rows[i]
+        img = -sum(P.deg * row[1 + j] for j, P in enumerate(ext.basis))
         images.append(img % M)
     return M // gcd(M, *images) if images else 1
 
@@ -220,8 +174,8 @@ def infinite_ramification(ext: NormalizedExtension) -> int:
 # ---------------------------------------------------------------------------
 # basis alignment, for comparing groups built over different prime sets
 
-def embed_group(group: RadicandGroup, old_basis: PrimeBasis,
-                new_basis: PrimeBasis) -> RadicandGroup:
+def embed_group(group: RadicandGroup, old_basis: tuple,
+                new_basis: tuple) -> RadicandGroup:
     """Re-embed a group in a larger basis; missing coordinates are exact
     zeros because coordinates are valuation data."""
     positions = [1 + new_basis.index(P) for P in old_basis]

@@ -24,7 +24,8 @@ import re
 from dataclasses import dataclass
 from math import prod
 
-from .errors import InternalCheckError, InvalidDescriptorError, ParseError
+from .errors import (FieldArgumentError, InternalCheckError,
+                     InvalidDescriptorError, ParseError)
 from .ffield import FqField, FqElem, build_field
 from .genus import (GenusField, clement_genus_field, compare,
                     rarzvi_genus_field, signed_closed_form_agrees,
@@ -243,8 +244,9 @@ def _parse_field_line(assigns, line_no):
             raise ParseError(str(exc), line_no, col) from None
     try:
         field = build_field(p, f, modulus=modulus)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no, 1) from None
+    except FieldArgumentError as exc:
+        key = "mod" if exc.arg == "modulus" else exc.arg
+        raise ParseError(str(exc), line_no, seen[key][1]) from None
     if "gen" in seen:
         value, col = seen["gen"]
         try:

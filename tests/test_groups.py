@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
 
 from genusfields import RadicandGroup, enumerate_subgroup, smith_normal_form
+from genusfields.groups import _lattice_form
 from genusfields.intmath import divisors
 from genusfields.selftest import random_group, torsion_counts_match
 
@@ -39,12 +41,11 @@ def matmul(A, B):
             for row in A]
 
 
-def full_diag(form):
-    m, n = form.shape
-    S = [[0] * n for _ in range(m)]
-    for i, d in enumerate(form.diag):
-        S[i][i] = d
-    return S
+def minors_gcd(A, k) -> int:
+    """gcd of all k x k minors of A."""
+    rows, cols = range(len(A)), range(len(A[0]))
+    return gcd(*(determinant([[A[i][j] for j in cs] for i in rs])
+                 for rs in combinations(rows, k) for cs in combinations(cols, k)))
 
 
 def test_snf_examples():
@@ -60,14 +61,37 @@ def test_snf_transform_properties():
         n = rng.randint(1, 5)
         A = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         form = smith_normal_form(A)
-        assert matmul(matmul([list(r) for r in form.row_transform], A),
-                      [list(r) for r in form.col_transform]) == full_diag(form)
-        assert abs(determinant(form.row_transform)) == 1
         assert abs(determinant(form.col_transform)) == 1
         diag = [d for d in form.diag if d]
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
         assert all(d == 0 for d in form.diag[len(diag):])
+        # A V = U^-1 S: column j of A V is a multiple of d_j, zero past the rank
+        AV = matmul(A, [list(r) for r in form.col_transform])
+        for j in range(n):
+            col = [row[j] for row in AV]
+            if j < len(diag):
+                assert all(x % diag[j] == 0 for x in col)
+            else:
+                assert not any(col)
+        # d_1 ... d_k is the gcd of the k x k minors (determinantal divisors)
+        for k in range(1, len(diag) + 1):
+            assert prod(diag[:k]) == minors_gcd(A, k)
+        assert len(diag) == min(m, n) or minors_gcd(A, len(diag) + 1) == 0
+
+
+def test_lattice_form_matches_stacked_lattice():
+    # the Smith form of the generator rows alone, each entry replaced by
+    # gcd(a_j, M), against the Smith form of the generators stacked on M * I
+    rng = random.Random(17)
+    for t in range(240):
+        M = rng.choice([1, 2, 12, 60, 360, 720, 5040, rng.randint(2, 400)])
+        d = rng.randint(1, 9)
+        k = (0, d + rng.randint(1, 4), rng.randint(1, d))[t % 3]
+        gens = tuple(tuple(rng.randrange(M) for _ in range(d)) for _ in range(k))
+        stacked = [list(g) for g in gens] + [
+            [M * (i == j) for j in range(d)] for i in range(d)]
+        assert _lattice_form(M, d, gens).diag == smith_normal_form(stacked).diag
 
 
 def test_member_examples():

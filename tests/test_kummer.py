@@ -1,5 +1,5 @@
 import random
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -34,14 +34,14 @@ def test_descriptor_validation(F5, F7):
 def test_normalize_sqrt_T(F5):
     ext = normalize(KummerDescriptor(F5, (comp(F5, 1, [0, 1], 2),)))
     assert [render_poly(Q.poly) for Q in ext.basis] == ["T"]
-    assert ext.vectors[0].row() == (0, 2)
+    assert ext.rows[0] == (0, 2)
     assert ext.n == 2 and ext.degree() == 2
     assert not ext.degenerate and ext.dropped == ()
 
 
 def test_normalize_trivial_component(F5):
     ext = normalize(KummerDescriptor(F5, (comp(F5, 4, [1], 2),)))
-    assert ext.vectors[0].is_zero()
+    assert not any(ext.rows[0])
     assert ext.dropped == (0,)
     assert ext.degenerate
     assert ext.degree() == 1 and ext.n == 1
@@ -50,9 +50,9 @@ def test_normalize_trivial_component(F5):
 def test_normalize_quartic(F5):
     ext = normalize(KummerDescriptor(F5, (comp(F5, 2, [0, 1, 2, 1], 4),)))
     assert [render_poly(Q.poly) for Q in ext.basis] == ["T", "T+1"]
-    assert ext.vectors[0].row() == (1, 1, 2)
+    assert ext.rows[0] == (1, 1, 2)
     assert ext.n == 4 and ext.degree() == 4
-    assert ext.component_degrees == (4,)
+    assert [4 // gcd(4, *row) for row in ext.rows] == [4]
 
 
 def test_empty_descriptor_is_degenerate(F5):
@@ -105,7 +105,8 @@ def test_divisibility_invariants():
         assert (q - 1) % ext.n == 0
         for _, e in ramification_indices(ext):
             assert ext.n % e == 0
-        assert ext.n == lcm(1, *ext.component_degrees)
+        M = q - 1
+        assert ext.n == lcm(1, *(M // gcd(M, *row) for row in ext.rows))
         factors = ext.group.invariant_factors()
         assert prod(factors) == ext.degree()
         assert (max(factors) if factors else 1) == ext.n

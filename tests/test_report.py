@@ -64,6 +64,19 @@ BAD_INTS = (
 )
 
 
+# build_field refusals, each at the column of the key=value it refuses
+BAD_FIELDS = (
+    (15, "field p=3 f=2 mod=x^2+2"),             # not irreducible
+    (15, "field p=3 f=2 mod=2*x^2+1"),           # not monic
+    (15, "field p=3 f=2 mod=x^3+x+2"),           # wrong degree
+    (7, "field p=9 f=1"),                        # not prime
+    (11, "field p=5 f=0"),                       # f not positive
+    (7, "field p=10000000000000061 f=1"),        # p over the bound
+    (11, "field p=2 f=1000000000000"),           # f over the bound
+    (15, "field p=65537 f=2"),                   # q over the bound
+)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_input("field p=5 f=1\ncomponent gamma=2 D=T m=2 extra=1\n")
@@ -92,6 +105,10 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as err:
             parse_input(text)
         assert (err.value.line, err.value.col) == (line, col), text
+    for col, field_line in BAD_FIELDS:
+        with pytest.raises(ParseError) as err:
+            parse_input(field_line + "\ncomponent gamma=1 D=T m=1\n")
+        assert (err.value.line, err.value.col) == (1, col), field_line
 
 
 def test_strict_mode_rejects_bad_m_at_parse():
