@@ -1,27 +1,36 @@
 """Job parsing, the computation pipeline and deterministic reports.
 
-Input grammar (line oriented, ``#`` starts a comment, whitespace inside
-values is insignificant)::
+Input grammar (line oriented: a line ends at ``\n``, ``\r\n`` or ``\r``
+and nowhere else, ``#`` starts a comment, whitespace inside values is
+insignificant)::
 
     field p=<int> f=<int> [mod=<poly in x>] [gen=<const>]
     component gamma=<const> D=<poly in T> m=<int>
 
 Constants are integers 0..p-1 on prime fields and ``g^<k>`` (or ``0``)
-on extension fields, where g is the canonical generator; polynomials
-are ``+``-separated monomials ``c*T^e``, ``T^e``, ``T`` or ``c``.  Every
-integer (``<int>``, ``<k>``, ``e`` and ``c``, ``mod`` coefficients) is
-ASCII digits 0-9 only: no sign, no underscore, no other digits.  The
-``field`` line must come first and at least one ``component`` must
-follow.  This module also owns the canonical renderings of constants
-and polynomials, so reports are byte-identical across runs for a fixed
+on extension fields, where g is the canonical generator.  Both
+polynomials, ``D`` over F_q and ``mod`` over F_p (integer coefficients
+0..p-1 only), are ``+``-separated monomials ``c*V^e``, ``V^e``, ``V`` or
+``c`` in their variable; like terms are summed and zero terms dropped.
+Every integer (``<int>``, ``<k>``, ``e`` and ``c``) is ASCII digits 0-9
+only: no sign, no underscore, no other digits.  The ``field`` line must
+come first and at least one ``component`` must follow.
+
+The grammar is read and written in one place each: ``_parse_terms``
+reads both polynomials and ``_render_terms`` writes them, ``_assignments``
+reads the key=value pairs of both directives against ``_KEYS``, and
+``_value`` reports a refused value at its key's column.  The canonical
+renderings make reports byte-identical across runs for a fixed
 configuration and seed.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 
 from .errors import (FieldArgumentError, InternalCheckError,
@@ -32,6 +41,7 @@ from .genus import (GenusField, clement_genus_field, compare,
                     verify_degree_formula)
 from .kummer import (KummerComponent, KummerDescriptor, infinite_ramification,
                      normalize, ramification_lcm_oracle)
+from .kernel import trim
 from .polyring import Poly
 
 _MAX_EXPONENT = 1 << 12
@@ -46,39 +56,30 @@ def render_const(field: FqField, x: FqElem) -> str:
     return "0" if x.is_zero() else f"g^{x.dlog()}"
 
 
-def render_poly(poly: Poly, var: str = "T") -> str:
-    if poly.is_zero():
-        return "0"
-    field = poly.field
-    coeffs = poly.coeffs
+def _render_terms(coeffs, var: str, const, one) -> str:
+    """The grammar's sum of the nonzero ``coeffs`` (constant term first)
+    as monomials in ``var``, highest power first; ``const`` renders a
+    coefficient and a coefficient equal to ``one`` is omitted."""
     terms = []
-    for i in range(poly.degree(), -1, -1):
+    for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
-        if c.is_zero():
+        if not c:
             continue
         if i == 0:
-            terms.append(render_const(field, c))
-            continue
-        var_part = var if i == 1 else f"{var}^{i}"
-        if c == field.one:
-            terms.append(var_part)
+            terms.append(const(c))
         else:
-            terms.append(f"{render_const(field, c)}*{var_part}")
-    return "+".join(terms)
+            var_part = var if i == 1 else f"{var}^{i}"
+            terms.append(var_part if c == one else f"{const(c)}*{var_part}")
+    return "+".join(terms) or "0"
+
+
+def render_poly(poly: Poly, var: str = "T") -> str:
+    field = poly.field
+    return _render_terms(poly.coeffs, var, partial(render_const, field), field.one)
 
 
 def render_modulus(field: FqField) -> str:
-    terms = []
-    for i in range(field.f, -1, -1):
-        c = field.modulus[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            var_part = "x" if i == 1 else f"x^{i}"
-            terms.append(var_part if c == 1 else f"{c}*{var_part}")
-    return "+".join(terms) if terms else "0"
+    return _render_terms(field.modulus, "x", str, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +112,6 @@ def parse_const(field: FqField, token: str) -> FqElem:
     return field.const(value)
 
 
-def _parse_monomial(field: FqField, token: str, var: str) -> tuple[FqElem, int]:
-    if "*" in token:
-        c_tok, _, v_tok = token.partition("*")
-        if "*" in v_tok or not c_tok or not v_tok:
-            raise ValueError(f"bad monomial {token!r}")
-        coef = parse_const(field, c_tok)
-        exp = _parse_varpow(v_tok, var)
-    elif token.startswith(var):
-        coef = field.one
-        exp = _parse_varpow(token, var)
-    else:
-        coef = parse_const(field, token)
-        exp = 0
-    return coef, exp
-
-
 def _parse_varpow(token: str, var: str) -> int:
     if token == var:
         return 1
@@ -138,44 +123,42 @@ def _parse_varpow(token: str, var: str) -> int:
     return exp
 
 
-def parse_poly(field: FqField, token: str, var: str = "T") -> Poly:
+def _parse_terms(token: str, var: str, coef, add) -> list:
+    """Coefficients, constant term first and trailing zeros dropped, of a
+    ``+``-separated sum of monomials ``c*V^e``, ``V^e``, ``V`` or ``c`` in
+    ``var``.  ``coef`` reads a ``c`` (the implicit one as ``"1"``) and
+    ``add`` sums like terms."""
     token = re.sub(r"\s+", "", token)
     if not token:
         raise ValueError("empty polynomial")
-    coeffs: dict[int, FqElem] = {}
+    terms = {}
     for mono in token.split("+"):
         if not mono:
             raise ValueError(f"empty monomial in {token!r}")
-        coef, exp = _parse_monomial(field, mono, var)
-        coeffs[exp] = coeffs[exp] + coef if exp in coeffs else coef
-    out = [field.zero] * (max(coeffs) + 1)
-    for exp, coef in coeffs.items():
-        out[exp] = coef
-    return Poly(field, out)
-
-
-def _parse_modulus_text(p: int, token: str) -> tuple[int, ...]:
-    token = re.sub(r"\s+", "", token)
-    coeffs: dict[int, int] = {}
-    for mono in token.split("+"):
-        if not mono:
-            raise ValueError(f"empty monomial in {token!r}")
-        if "*" in mono:
-            c_tok, _, v_tok = mono.partition("*")
-            coef = _parse_uint(c_tok, f"bad coefficient {c_tok!r}")
-            exp = _parse_varpow(v_tok, "x")
-        elif mono.startswith("x"):
-            coef, exp = 1, _parse_varpow(mono, "x")
+        c_tok, star, v_tok = mono.partition("*")
+        if star:
+            c, e = coef(c_tok), _parse_varpow(v_tok, var)
+        elif mono.startswith(var):
+            c, e = coef("1"), _parse_varpow(mono, var)
         else:
-            coef = _parse_uint(mono, f"cannot parse monomial {mono!r}")
-            exp = 0
-        if coef >= p:
-            raise ValueError(f"modulus coefficient {coef} not in 0..{p - 1}")
-        coeffs[exp] = (coeffs.get(exp, 0) + coef) % p
-    out = [0] * (max(coeffs) + 1)
-    for exp, coef in coeffs.items():
-        out[exp] = coef
-    return tuple(out)
+            c, e = coef(mono), 0
+        terms[e] = add(terms[e], c) if e in terms else c
+    zero = coef("0")
+    return trim([terms.get(e, zero) for e in range(max(terms) + 1)])
+
+
+def parse_poly(field: FqField, token: str, var: str = "T") -> Poly:
+    return Poly(field, _parse_terms(token, var, partial(parse_const, field),
+                                    operator.add))
+
+
+def _parse_modulus(p: int, token: str) -> tuple[int, ...]:
+    def coef(c_tok):
+        c = _parse_uint(c_tok, f"bad coefficient {c_tok!r}")
+        if c >= p:
+            raise ValueError(f"modulus coefficient {c} not in 0..{p - 1}")
+        return c
+    return tuple(_parse_terms(token, "x", coef, lambda a, b: (a + b) % p))
 
 
 @dataclass(frozen=True)
@@ -194,94 +177,73 @@ class JobConfig:
         return KummerDescriptor(self.field, self.components)
 
 
+# directive -> (required keys, optional keys)
+_KEYS = {"field": (("p", "f"), ("mod", "gen")),
+         "component": (("gamma", "D", "m"), ())}
 _ASSIGN_RE = re.compile(r"([A-Za-z]+)\s*=")
 
 
-def _split_assignments(body: str, line_no: int, offset: int):
-    """key=value pairs of one directive body; values may contain spaces."""
+def _assignments(word: str, body: str, line_no: int, offset: int) -> dict:
+    """``{key: (value, col)}`` of the key=value pairs of one ``word``
+    directive, whose body starts at ``offset``; values may hold spaces."""
     matches = list(_ASSIGN_RE.finditer(body))
     if not matches:
         raise ParseError("expected key=value assignments", line_no, offset + 1)
     head = body[:matches[0].start()].strip()
     if head:
         raise ParseError(f"unexpected text {head!r}", line_no, offset + 1)
-    out = []
-    for i, match in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(body)
-        value = body[match.end():end].strip()
-        out.append((match.group(1), value, offset + match.start() + 1))
-    return out
+    required, optional = _KEYS[word]
+    ends = [match.start() for match in matches[1:]] + [len(body)]
+    seen = {}
+    for match, end in zip(matches, ends):
+        key, col = match.group(1), offset + match.start() + 1
+        if key not in required + optional:
+            raise ParseError(f"unknown key {key!r} on {word} line", line_no, col)
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r}", line_no, col)
+        seen[key] = (body[match.end():end].strip(), col)
+    for key in required:
+        if key not in seen:
+            raise ParseError(f"{word} line is missing {key!r}", line_no, 1)
+    return seen
 
 
-def _int_value(seen, key, line_no, what="an integer") -> int:
-    """The <int> value of ``key``; a ParseError points at the value."""
+def _value(seen, key, line_no, parse):
+    """``parse`` of the value of ``key``; a ValueError becomes a
+    ParseError at the key's column."""
     value, col = seen[key]
     try:
-        return _parse_uint(value, f"{key} must be {what}")
+        return parse(value)
     except ValueError as exc:
         raise ParseError(str(exc), line_no, col) from None
 
 
-def _parse_field_line(assigns, line_no):
-    seen = {}
-    for key, value, col in assigns:
-        if key not in ("p", "f", "mod", "gen"):
-            raise ParseError(f"unknown key {key!r} on field line", line_no, col)
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}", line_no, col)
-        seen[key] = (value, col)
-    for key in ("p", "f"):
-        if key not in seen:
-            raise ParseError(f"field line is missing {key!r}", line_no, 1)
-    p, f = (_int_value(seen, key, line_no) for key in ("p", "f"))
-
+def _parse_field_line(seen, line_no):
+    p, f = (_value(seen, key, line_no,
+                   partial(_parse_uint, error=f"{key} must be an integer"))
+            for key in ("p", "f"))
     modulus = None
     if "mod" in seen:
-        value, col = seen["mod"]
-        try:
-            modulus = _parse_modulus_text(p, value)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no, col) from None
+        modulus = _value(seen, "mod", line_no, partial(_parse_modulus, p))
     try:
         field = build_field(p, f, modulus=modulus)
     except FieldArgumentError as exc:
         key = "mod" if exc.arg == "modulus" else exc.arg
         raise ParseError(str(exc), line_no, seen[key][1]) from None
-    if "gen" in seen:
-        value, col = seen["gen"]
-        try:
-            gen = parse_const(field, value)
-            field = build_field(p, f, modulus=modulus, generator=gen.coeffs)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no, col) from None
-    return field
+    if "gen" not in seen:
+        return field
+    return _value(seen, "gen", line_no, lambda value: build_field(
+        p, f, modulus=modulus, generator=parse_const(field, value).coeffs))
 
 
-def _parse_component_line(field, assigns, line_no, strict):
-    seen = {}
-    for key, value, col in assigns:
-        if key not in ("gamma", "D", "m"):
-            raise ParseError(f"unknown key {key!r} on component line", line_no, col)
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}", line_no, col)
-        seen[key] = (value, col)
-    for key in ("gamma", "D", "m"):
-        if key not in seen:
-            raise ParseError(f"component line is missing {key!r}", line_no, 1)
-    value, col = seen["gamma"]
-    try:
-        gamma = parse_const(field, value)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no, col) from None
-    value, col = seen["D"]
-    try:
-        D = parse_poly(field, value, "T")
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no, col) from None
+def _parse_component_line(field, seen, line_no, strict):
+    gamma = _value(seen, "gamma", line_no, partial(parse_const, field))
+    D = _value(seen, "D", line_no, partial(parse_poly, field))
     if not D.is_monic():
-        raise ParseError("D must be monic", line_no, col)
+        raise ParseError("D must be monic", line_no, seen["D"][1])
+    m = _value(seen, "m", line_no,
+               partial(_parse_uint, error="m must be a positive integer"))
     col = seen["m"][1]
-    m = _int_value(seen, "m", line_no, "a positive integer")
     if m < 1:
         raise ParseError("m must be a positive integer", line_no, col)
     if strict and (field.q - 1) % m != 0:
@@ -295,7 +257,9 @@ def parse_input(text: str, strict: bool = False) -> JobConfig:
     offending line and column."""
     field = None
     components = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    # lines end only at \n, \r\n or \r; the other characters at which
+    # str.splitlines() breaks are whitespace
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), 1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
@@ -303,24 +267,18 @@ def parse_input(text: str, strict: bool = False) -> JobConfig:
         if match is None:
             col = len(line) - len(line.lstrip()) + 1
             raise ParseError("expected a field or component line", line_no, col)
-        word = match.group(1)
-        body_start = match.end()
-        body = line[body_start:]
+        word, col = match.group(1), match.start(1) + 1
+        if word not in _KEYS:
+            raise ParseError(f"unknown directive {word!r}", line_no, col)
+        if word == "field" and field is not None:
+            raise ParseError("duplicate field line", line_no, col)
+        if word == "component" and field is None:
+            raise ParseError("component line before any field line", line_no, col)
+        seen = _assignments(word, line[match.end():], line_no, match.end())
         if word == "field":
-            if field is not None:
-                raise ParseError("duplicate field line", line_no, match.start(1) + 1)
-            field = _parse_field_line(
-                _split_assignments(body, line_no, body_start), line_no)
-        elif word == "component":
-            if field is None:
-                raise ParseError("component line before any field line",
-                                 line_no, match.start(1) + 1)
-            components.append(_parse_component_line(
-                field, _split_assignments(body, line_no, body_start),
-                line_no, strict))
+            field = _parse_field_line(seen, line_no)
         else:
-            raise ParseError(f"unknown directive {word!r}", line_no,
-                             match.start(1) + 1)
+            components.append(_parse_component_line(field, seen, line_no, strict))
     if field is None:
         raise ParseError("missing field line", 0, 0)
     if not components:

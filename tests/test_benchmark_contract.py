@@ -3,8 +3,10 @@
 ``perfbench/tracer.py`` wraps the functions its ``TIMED`` table names and
 the ``FqElem`` operators, reading each from its owner's ``__dict__``, and
 ``perfbench/worker.py`` clears and reads the SNF cache of
-``groups._lattice_form``.  A refactor that renames or moves any of them
-breaks the traced benchmark run; these tests catch it in the suite.
+``groups._lattice_form``.  A worker job is ``Runner.job``: ``parse_input``,
+``dataclasses.replace`` of the ``JobConfig`` fields it sets, ``run`` and
+``Report.to_json``.  A refactor that renames or moves any of them breaks
+the benchmark run; these tests catch it in the suite.
 """
 
 import importlib
@@ -12,18 +14,38 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import genusfields
-from genusfields import groups
+from genusfields import groups, report
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+GOLDEN = ROOT / "tests" / "golden"
 
 
-def load_tracer(monkeypatch):
+def load(monkeypatch, name):
+    """``perfbench/<name>.py`` as a module, without writing bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """``perfbench/worker.py``, which imports its siblings by their plain
+    names; those are dropped from ``sys.modules`` again afterwards."""
+    siblings = [name for name in ("refclock", "tracer", "workloads")
+                if name not in sys.modules]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        yield load(monkeypatch, "worker")
+    finally:
+        for name in siblings:
+            sys.modules.pop(name, None)
 
 
 def test_all_exports_resolve():
@@ -32,7 +54,7 @@ def test_all_exports_resolve():
 
 
 def test_traced_names_resolve(monkeypatch):
-    tracer = load_tracer(monkeypatch)
+    tracer = load(monkeypatch, "tracer")
     for span, (module, path, _) in tracer.TIMED.items():
         mod = importlib.import_module(f"{tracer.PACKAGE}.{module}")
         owner, attr = tracer._resolve(mod, path)
@@ -45,3 +67,12 @@ def test_traced_names_resolve(monkeypatch):
 def test_snf_cache_is_inspectable():
     assert callable(groups._lattice_form.cache_info)
     assert callable(groups._lattice_form.cache_clear)
+
+
+def test_worker_job_replays_the_cli(worker):
+    text = (GOLDEN / "extension_field_q9_mod_gen.job").read_text(encoding="utf-8")
+    rendered = worker.Runner(report).job(text)
+    assert worker.check_report(rendered) is None
+    # the bytes of `genusfields compare --infinite --format json`
+    expected = (GOLDEN / "extension_field_q9_mod_gen.json").read_text(encoding="utf-8")
+    assert rendered + "\n" == expected

@@ -111,6 +111,46 @@ def test_parse_errors_carry_position():
         assert (err.value.line, err.value.col) == (1, col), field_line
 
 
+# lines end at "\n", "\r\n" or "\r" only; the other characters that
+# str.splitlines() breaks at are whitespace inside a line
+OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_parse_line_ends(F5):
+    want = (KummerComponent(F5.const(2), P(F5, [0, 1]), 4),)
+    for end in ("\n", "\r\n", "\r"):
+        config = parse_input(f"field p=5 f=1{end}{end}component gamma=2 D=T m=4{end}")
+        assert config.field == F5 and config.components == want
+        with pytest.raises(ParseError) as err:
+            parse_input(f"field p=5 f=1{end}{end}component gamma=2 D=T m=x{end}")
+        assert (err.value.line, err.value.col) == (3, 23)
+    for ws in OTHER_BREAKS:
+        config = parse_input(f"field p=5 f=1{ws}\ncomponent gamma=2 D=T{ws} m=4{ws}\n")
+        assert config.field == F5 and config.components == want, repr(ws)
+        with pytest.raises(ParseError) as err:
+            parse_input(f"field p=5 f=1\ncomponent gamma=2 D=T{ws} m=x\n")
+        assert (err.value.line, err.value.col) == (2, 24), repr(ws)
+
+
+def test_zero_terms_in_mod_and_D(F9, tmp_path, capsys):
+    job = "field p=3 f=2 mod={}\ncomponent gamma=g^3 D={} m=4\n"
+    plain = parse_input(job.format("x^2+1", "T^2+g*T"))
+    assert plain.field == F9
+    reports = set()
+    for mod, D in (("x^2+1", "T^2+g*T"),
+                   ("x^2+0*x^3+1", "T^2+g*T+0*T^3"),
+                   ("0*x^4+x^2+1+0", "0*T^5+T^2+g*T+0"),
+                   ("x^2+x^3+2*x^3+1", "T^2+g*T+T^3+2*T^3")):   # p | 1 + 2
+        text = job.format(mod, D)
+        config = parse_input(text)
+        assert (config.field, config.components) == (plain.field, plain.components)
+        path = tmp_path / "job.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["compare", "--infinite", str(path)]) == 0, text
+        reports.add(capsys.readouterr().out)
+    assert len(reports) == 1
+
+
 def test_strict_mode_rejects_bad_m_at_parse():
     text = "field p=5 f=1\ncomponent gamma=2 D=T m=3\n"
     with pytest.raises(ParseError):
