@@ -18,19 +18,26 @@ codes through each field's code operations (``_add``, ``_neg``,
 ``_mul``, ``_pow``, ``_int``, ``_prep``, ``_axpy``), bound on first use:
 
 - prime fields: residue arithmetic mod p;
-- f > 1 and q <= 2^16: ``array`` tables, built once per field.
-  ``_log[c]`` is the discrete log of code c, with ``_log[0] = 2(q-1)``
-  marking zero; ``_exp[k]`` is the code of g^(k mod (q-1)) for
+- f > 1 and q <= ``_TABLE_LIMIT`` = 2^13: ``array`` tables, built once per
+  field.  ``_log[c]`` is the discrete log of code c, with ``_log[0] =
+  2(q-1)`` marking zero; ``_exp[k]`` is the code of g^(k mod (q-1)) for
   k < 2(q-1) and 0 from 2(q-1) to 4(q-1), so ``_exp[_log[a] + _log[b]]``
   is the code of a * b even when a or b is zero.  In characteristic 2
   addition is XOR of codes; for odd p, ``_zech[k]`` is the log of
   1 + g^k (the Zech logarithm), or 2(q-1) when that is zero;
-- f > 1 and q > 2^16: coordinate arithmetic, each product one packed
+- f > 1 and q > 2^13: coordinate arithmetic, each product one packed
   integer multiplication (``_coord_mul``).
 
+The limit is where a job stops earning back its q table entries: with
+two random degree-6 radicands per job, tables win up to 2^13 and 3^8
+and lose from 2^14 and 3^9.
+
 Discrete logarithms are always taken to the canonical generator: read
-from ``_log`` when q <= 2^16 (prime fields build it on the first
-``dlog``), by baby-step giant-step beyond.  Everything is exact.
+from ``_log`` when q <= 2^13 (prime fields build it on the first
+``dlog``).  Beyond, each field keeps a log memo (code -> k) that every
+``dlog`` and every power of g fills, so a parsed ``g^k`` renders back
+without a search; a miss runs baby-step giant-step against one baby-step
+table per field, built by the first search.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .intmath import is_prime, prime_factors
 from .kernel import rabin
 
 DEFAULT_MAX_Q = 1 << 20
-_TABLE_LIMIT = 1 << 16
+_TABLE_LIMIT = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +154,22 @@ def _find_generator(p, f, q, modulus):
 
 # ---------------------------------------------------------------------------
 
+def field_order(p: int, f: int, max_q: int = DEFAULT_MAX_Q) -> int:
+    """q = p^f, once p and f pass :func:`build_field`'s checks on them."""
+    if not isinstance(f, int) or f < 1:
+        raise FieldArgumentError("f", f"f must be a positive integer, got {f!r}")
+    # refused before is_prime(p) and p ** f, whose costs grow with p and f
+    if isinstance(p, int) and (p > max_q or f > max_q.bit_length()):
+        raise FieldArgumentError("p" if p > max_q else "f",
+                                 f"q = p^f exceeds the configured bound {max_q}")
+    if not isinstance(p, int) or not is_prime(p):
+        raise FieldArgumentError("p", f"p must be prime, got {p!r}")
+    q = p ** f
+    if q > max_q:
+        raise FieldArgumentError("f", f"q = {q} exceeds the configured bound {max_q}")
+    return q
+
+
 def build_field(p: int, f: int, *, modulus=None, generator=None,
                 max_q: int = DEFAULT_MAX_Q) -> "FqField":
     """Construct F_{p^f} deterministically.
@@ -164,18 +187,7 @@ def build_field(p: int, f: int, *, modulus=None, generator=None,
     :class:`FieldArgumentError` whose ``arg`` names the argument refused;
     a q over ``max_q`` is charged to f unless p alone exceeds it.
     """
-    if not isinstance(f, int) or f < 1:
-        raise FieldArgumentError("f", f"f must be a positive integer, got {f!r}")
-    # refused before is_prime(p) and p ** f, whose costs grow with p and f
-    if isinstance(p, int) and (p > max_q or f > max_q.bit_length()):
-        raise FieldArgumentError("p" if p > max_q else "f",
-                                 f"q = p^f exceeds the configured bound {max_q}")
-    if not isinstance(p, int) or not is_prime(p):
-        raise FieldArgumentError("p", f"p must be prime, got {p!r}")
-    q = p ** f
-    if q > max_q:
-        raise FieldArgumentError("f", f"q = {q} exceeds the configured bound {max_q}")
-
+    q = field_order(p, f, max_q)
     if modulus is None:
         modulus = _find_modulus(p, f)
     else:
@@ -208,8 +220,9 @@ _CODE_OPS = ("_add", "_neg", "_mul", "_pow", "_prep", "_axpy")
 class FqField:
     """The field with q = p^f elements; use :func:`build_field` to create one."""
 
-    __slots__ = ("p", "f", "q", "modulus", "_gen", "_one", "_hash", "_pack",
-                 "_times", "_exp", "_log", "_zech") + _CODE_OPS
+    __slots__ = ("p", "f", "q", "modulus", "_gen", "_gcode", "_one", "_hash",
+                 "_pack", "_times", "_exp", "_log", "_zech", "_memo",
+                 "_baby") + _CODE_OPS
 
     def __init__(self, p, f, modulus, generator):
         self.p = p
@@ -217,9 +230,11 @@ class FqField:
         self.q = p ** f
         self.modulus = tuple(modulus)
         self._gen = tuple(generator)
+        self._gcode = _index(self._gen, p)
         self._one = p ** (f - 1)
         self._pack, self._times = _coord_mul(self.modulus, p)
-        self._exp = self._log = self._zech = None
+        self._exp = self._log = self._zech = self._baby = None
+        self._memo = {}
         self._hash = hash(("FqField", p, f, self.modulus, self._gen))
 
     def __eq__(self, other):
@@ -257,7 +272,7 @@ class FqField:
     @property
     def g(self) -> "FqElem":
         """The canonical generator of the multiplicative group."""
-        return FqElem(self, _index(self._gen, self.p))
+        return FqElem(self, self._gcode)
 
     def elem(self, coeffs) -> "FqElem":
         """Element from its coordinate vector (length f, reduced mod p)."""
@@ -296,13 +311,20 @@ class FqField:
         p, f, q, n = self.p, self.f, self.q, self.q - 1
         exp = array("l", [0]) * (4 * n + 1)
         log = array("l", [2 * n]) * q
-        times, g = self._times, self._pack(self._gen)
-        t = (1,) + (0,) * (f - 1)
-        for i in range(n):
-            code = _index(t, p)
-            exp[i] = exp[i + n] = code
-            log[code] = i
-            t = times(t, g)
+        if f == 1:
+            code, g = 1, self._gcode
+            for i in range(n):
+                exp[i] = exp[i + n] = code
+                log[code] = i
+                code = code * g % p
+        else:
+            times, g = self._times, self._pack(self._gen)
+            t = (1,) + (0,) * (f - 1)
+            for i in range(n):
+                code = _index(t, p)
+                exp[i] = exp[i + n] = code
+                log[code] = i
+                t = times(t, g)
         if f > 1 and p > 2:
             # 1 is the top digit of a code, so adding 1 is adding p^(f-1) mod q
             self._zech = array("l", (log[(exp[k] + self._one) % q]
@@ -385,27 +407,35 @@ class FqField:
     # -- discrete logarithms ---------------------------------------------------
 
     def dlog(self, x: "FqElem") -> int:
-        """Exponent k with g^k = x, for nonzero x; a residue modulo q - 1."""
+        """Exponent k with g^k = x, for nonzero x; a residue modulo q - 1.
+
+        Read from ``_log`` on tabled fields, else from the log memo, else
+        found by baby-step giant-step and noted in the memo."""
         self._check_elem(x)
-        if not x.code:
+        code = x.code
+        if not code:
             raise ValueError("dlog of zero is undefined")
         if self._tables():
-            return self._log[x.code]
-        return self._dlog_bsgs(x.coeffs)
+            return self._log[code]
+        k = self._memo.get(code)
+        if k is None:
+            k = self._memo[code] = self._search(x.coeffs)
+        return k
 
-    def _dlog_bsgs(self, coeffs):
-        n = self.q - 1
-        if n == 1:
-            return 0
-        m = isqrt(n - 1) + 1
-        baby = {}
-        pack, times = self._pack, self._times
-        g = pack(self._gen)
-        t = self.one.coeffs
-        for j in range(m):
-            baby.setdefault(t, j)
-            t = times(t, g)
-        giant = pack(_fq_pow(self._gen, n - m, pack, times))  # g^(-m)
+    def _search(self, coeffs):
+        """Baby-step giant-step: the first search stores the baby steps
+        g^j -> j (j < m = ceil(sqrt(q - 1))) and the packed giant step
+        g^(-m) on the field, and every search takes at most m + 1 giant
+        steps from ``coeffs``."""
+        n, times = self.q - 1, self._times
+        if self._baby is None:
+            m, pack = isqrt(n - 1) + 1, self._pack
+            baby, g, t = {}, pack(self._gen), (1,) + (0,) * (self.f - 1)
+            for j in range(m):
+                baby.setdefault(t, j)
+                t = times(t, g)
+            self._baby = m, baby, pack(_fq_pow(self._gen, n - m, pack, times))
+        m, baby, giant = self._baby
         y = coeffs
         for i in range(m + 1):
             j = baby.get(y)
@@ -413,6 +443,17 @@ class FqField:
                 return (i * m + j) % n
             y = times(y, giant)
         raise ValueError("dlog failed; element not in the multiplicative group")
+
+    def _gen_pow(self, e: int) -> int:
+        """The code of g^e, binding nothing: read from ``_exp`` once tables
+        exist, else taken on g's coordinates and noted in the log memo.  So
+        the default field that a job's ``gen=`` is read on stays unbound."""
+        k = e % (self.q - 1)
+        if self._exp is not None:
+            return self._exp[k]
+        code = _index(_fq_pow(self._gen, k, self._pack, self._times), self.p)
+        self._memo[code] = k
+        return code
 
     def _check_elem(self, x):
         if not isinstance(x, FqElem) or (x.field is not self and x.field != self):
@@ -477,7 +518,10 @@ class FqElem:
             if e == 0:
                 return self.field.one
             raise ZeroDivisionError("negative power of zero in F_q")
-        return FqElem(self.field, self.field._pow(self.code, e))
+        F = self.field
+        if self.code == F._gcode:
+            return FqElem(F, F._gen_pow(e))
+        return FqElem(F, F._pow(self.code, e))
 
     def __eq__(self, other):
         if not isinstance(other, FqElem):

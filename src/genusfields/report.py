@@ -35,7 +35,7 @@ from math import prod
 
 from .errors import (FieldArgumentError, InternalCheckError,
                      InvalidDescriptorError, ParseError)
-from .ffield import FqField, FqElem, build_field
+from .ffield import FqField, FqElem, build_field, field_order
 from .genus import (GenusField, clement_genus_field, compare,
                     rarzvi_genus_field, signed_closed_form_agrees,
                     verify_degree_formula)
@@ -223,15 +223,18 @@ def _parse_field_line(seen, line_no):
                    partial(_parse_uint, error=f"{key} must be an integer"))
             for key in ("p", "f"))
     modulus = None
-    if "mod" in seen:
-        modulus = _value(seen, "mod", line_no, partial(_parse_modulus, p))
     try:
+        field_order(p, f)   # p and f are refused before mod= is read against p
+        if "mod" in seen:
+            modulus = _value(seen, "mod", line_no, partial(_parse_modulus, p))
         field = build_field(p, f, modulus=modulus)
     except FieldArgumentError as exc:
         key = "mod" if exc.arg == "modulus" else exc.arg
         raise ParseError(str(exc), line_no, seen[key][1]) from None
     if "gen" not in seen:
         return field
+    # a power of g is taken on its coordinates and binds nothing, so the
+    # default field that gen= is read on builds no tables
     return _value(seen, "gen", line_no, lambda value: build_field(
         p, f, modulus=modulus, generator=parse_const(field, value).coeffs))
 

@@ -1,7 +1,8 @@
 """Reduced-size property suites, runnable as ``genusfields selftest``.
 
 These re-run the package's main invariants on small random corpora:
-discrete-log round trips, refactoring of random polynomials, the
+discrete-log round trips (tabled, and by search above the table
+limit), refactoring of random polynomials, the
 subgroup engine against exhaustive enumeration, every cross-check of
 ``report._audit`` on random extensions (the two ramification formulas,
 the degree formula, the containment chain, the constant field), the
@@ -101,6 +102,19 @@ def check_dlog_roundtrip():
     return True
 
 
+def check_dlog_search(rng, count=50):
+    """Round trips on 2^17, above the table limit: the baby-step
+    giant-step search and its log memo."""
+    field = build_field(2, 17)
+    g = field.g
+    for _ in range(count):
+        x = field.from_index(rng.randrange(1, field.q))
+        # the second dlog of x is read from the memo the first one filled
+        if g ** x.dlog() != x or g ** x.dlog() != x:
+            return False
+    return True
+
+
 def check_factor_refactors(rng, count=80):
     for _ in range(count):
         field = pooled_field(*rng.choice(FIELD_POOL))
@@ -158,6 +172,8 @@ def run_selftest(seed: int = 0, write=print) -> bool:
     rng = random.Random(seed)
     checks = [
         ("dlog round trip", check_dlog_roundtrip),
+        ("dlog search round trip",
+         lambda: check_dlog_search(random.Random(seed))),
         ("factorization refactors", lambda: check_factor_refactors(rng)),
         ("subgroup engine vs enumeration", lambda: check_group_engine(rng)),
         ("extension pipeline invariants", lambda: check_extension_pipeline(rng)),

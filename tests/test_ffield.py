@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from genusfields import build_field, element_sort_key
+from genusfields import build_field, element_sort_key, parse_input, render_job
+from genusfields import ffield
 
 from conftest import FIELD_KEYS, field
 
@@ -149,13 +150,61 @@ def test_nth_power_criterion(p, f):
 
 
 def test_bsgs_large_field():
-    """q = 2^17 exceeds the table limit, forcing the BSGS and raw-product paths."""
-    fld = build_field(2, 17)
-    g = fld.g
+    """q = 2^17 exceeds the table limit, forcing the BSGS and raw-product paths.
+
+    The elements come from a second, equal field: a power of g taken on
+    ``fld`` itself would land in its log memo and skip the search."""
+    fld, other = build_field(2, 17), build_field(2, 17)
     rng = random.Random(3)
     for _ in range(5):
         k = rng.randrange(fld.q - 1)
-        assert fld.dlog(g ** k) == k
+        assert fld.dlog(fld.from_index((other.g ** k).code)) == k
+    assert fld._log is None
+
+
+# p = 2 and odd p, f = 1 and f > 1, all tabled at the default limit
+SEARCH_KEYS = ((5, 1), (13, 1), (2, 2), (2, 3), (3, 2), (3, 5), (2, 10))
+
+
+@pytest.mark.parametrize("p,f", SEARCH_KEYS)
+def test_search_agrees_with_tables(p, f, monkeypatch):
+    tabled = build_field(p, f)
+    want = [tabled.dlog(x) for x in tabled.elements() if x]
+    assert tabled._log is not None
+    monkeypatch.setattr(ffield, "_TABLE_LIMIT", 1)
+    fld = build_field(p, f)
+    fld._bind()
+    got = [fld.dlog(x) for x in fld.elements() if x]
+    assert fld._log is None and got == want
+    assert [fld.dlog(x) for x in fld.elements() if x] == want   # memo hits
+
+
+def test_search_builds_one_baby_step_table():
+    fld = build_field(3, 9)
+    assert fld.q > ffield._TABLE_LIMIT and fld._baby is None
+    rng = random.Random(4)
+    xs = [fld.from_index(rng.randrange(1, fld.q)) for _ in range(40)]
+    fld.dlog(xs[0])
+    table = fld._baby
+    logs = [fld.dlog(x) for x in xs]
+    assert fld._baby is table
+    assert [fld.dlog(x) for x in xs] == logs
+    assert all(fld.g ** k == x for k, x in zip(logs, xs))
+
+
+def test_parsed_generator_power_renders_without_search():
+    text = "field p=3 f=9\ncomponent gamma=g^12345 D=T^2+g^777*T+g^19681 m=2\n"
+    config = parse_input(text)
+    assert render_job(config) == text
+    assert config.field._baby is None and config.field._log is None
+
+
+@pytest.mark.parametrize("p,f,tabled", [(2, 13, True), (3, 8, True),
+                                        (2, 14, False), (3, 9, False)])
+def test_table_limit_sides(p, f, tabled):
+    fld = build_field(p, f)
+    fld._bind()
+    assert (fld._log is not None) == tabled
 
 
 def test_element_sort_key():

@@ -64,6 +64,9 @@ BAD_INTS = (
 )
 
 
+# p is refused before mod= is read against it
+PRIME_BEFORE_MOD = ((7, "field p=0 f=1 mod=x"), (7, "field p=1 f=1 mod=x"))
+
 # build_field refusals, each at the column of the key=value it refuses
 BAD_FIELDS = (
     (15, "field p=3 f=2 mod=x^2+2"),             # not irreducible
@@ -74,7 +77,7 @@ BAD_FIELDS = (
     (7, "field p=10000000000000061 f=1"),        # p over the bound
     (11, "field p=2 f=1000000000000"),           # f over the bound
     (15, "field p=65537 f=2"),                   # q over the bound
-)
+) + PRIME_BEFORE_MOD
 
 
 def test_parse_errors_carry_position():
@@ -109,6 +112,9 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as err:
             parse_input(field_line + "\ncomponent gamma=1 D=T m=1\n")
         assert (err.value.line, err.value.col) == (1, col), field_line
+    for _, field_line in PRIME_BEFORE_MOD:
+        with pytest.raises(ParseError, match="p must be prime"):
+            parse_input(field_line + "\ncomponent gamma=1 D=T m=1\n")
 
 
 # lines end at "\n", "\r\n" or "\r" only; the other characters that
@@ -170,6 +176,24 @@ def test_field_overrides_parse_and_render():
         parse_input("field p=3 f=2 mod=x^2+1 gen=g^2\ncomponent gamma=1 D=T m=2\n")
     with pytest.raises(ParseError):
         parse_input("field p=5 f=1 gen=0\ncomponent gamma=1 D=T m=2\n")
+
+
+def test_gen_builds_one_table(monkeypatch):
+    from genusfields.ffield import FqField
+    builds = []
+    real_tables = FqField._tables
+
+    def counting_tables(self):
+        unbuilt = self._log is None
+        out = real_tables(self)
+        if unbuilt and self._log is not None:
+            builds.append(self)
+        return out
+
+    monkeypatch.setattr(FqField, "_tables", counting_tables)
+    config = parse_input("field p=3 f=8 gen=g^7\ncomponent gamma=g^7 D=T m=2\n")
+    run(config)
+    assert len(builds) == 1 and builds[0] is config.field
 
 
 def test_render_job_round_trip_random():
@@ -369,6 +393,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         odd.write_text(text, encoding="utf-8")
         assert main(["compute", str(odd)]) == 2
     capsys.readouterr()
+    for col, field_line in PRIME_BEFORE_MOD:
+        odd.write_text(field_line + "\ncomponent gamma=1 D=T m=1\n",
+                       encoding="utf-8")
+        assert main(["compute", str(odd)]) == 2
+        assert f"line 1, col {col}: p must be prime" in capsys.readouterr().err
     import genusfields.report as report_mod
     monkeypatch.setattr(report_mod, "verify_degree_formula",
                         lambda gf, ext: False)
