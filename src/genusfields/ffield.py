@@ -11,40 +11,43 @@ constant term first, and element coordinates refer to the power basis
 Inside the package an element is an int code, its index in
 lexicographic coordinate order (:meth:`FqField.from_index`): the code of
 (c_0, ..., c_(f-1)) is c_0 p^(f-1) + ... + c_(f-1), so on prime fields
-it is the residue, 0 is zero and p^(f-1) is one.  This module is the
-only one that knows the coding.  :class:`FqElem` wraps a code for the
-public API, and the polynomial loops of :mod:`kernel` run on lists of
-codes through each field's code operations (``_add``, ``_neg``,
-``_mul``, ``_pow``, ``_int``, ``_prep``, ``_axpy``), bound on first use:
+it is the residue, 0 is zero and p^(f-1) is one.  This module alone knows
+the coding, and every loop in it runs on codes; coordinate tuples are
+only read or written at its API.  :class:`FqElem` wraps a code, and the
+polynomial loops of :mod:`kernel` run on lists of codes through each
+field's code operations (``_add``, ``_neg``, ``_mul``, ``_pow``,
+``_int``, ``_prep``, ``_axpy``), bound on first use:
 
 - prime fields: residue arithmetic mod p;
-- f > 1 and q <= ``_TABLE_LIMIT`` = 2^13: ``array`` tables, built once per
-  field.  ``_log[c]`` is the discrete log of code c, with ``_log[0] =
-  2(q-1)`` marking zero; ``_exp[k]`` is the code of g^(k mod (q-1)) for
-  k < 2(q-1) and 0 from 2(q-1) to 4(q-1), so ``_exp[_log[a] + _log[b]]``
-  is the code of a * b even when a or b is zero.  In characteristic 2
-  addition is XOR of codes; for odd p, ``_zech[k]`` is the log of
-  1 + g^k (the Zech logarithm), or 2(q-1) when that is zero;
-- f > 1 and q > 2^13: coordinate arithmetic, each product one packed
-  integer multiplication (``_coord_mul``).
+- f > 1: one packed integer product per element product
+  (:func:`_code_ops`), its digits reduced straight into a code;
+- f > 1 and q <= ``_TABLE_LIMIT`` = 2^13 when the field is built:
+  ``array`` tables instead, built once per field.  ``_log[c]`` is the
+  discrete log of code c, with ``_log[0] = 2(q-1)`` marking zero;
+  ``_exp[k]`` is the code of g^(k mod (q-1)) for k < 2(q-1) and 0 from
+  2(q-1) to 4(q-1), so ``_exp[_log[a] + _log[b]]`` is the code of a * b
+  even when a or b is zero.  In characteristic 2 addition is XOR of
+  codes; for odd p, ``_zech[k]`` is the log of 1 + g^k (the Zech
+  logarithm), or 2(q-1) when that is zero.
 
 The limit is where a job stops earning back its q table entries: with
 two random degree-6 radicands per job, tables win up to 2^13 and 3^8
 and lose from 2^14 and 3^9.
 
 Discrete logarithms are always taken to the canonical generator: read
-from ``_log`` when q <= 2^13 (prime fields build it on the first
-``dlog``).  Beyond, each field keeps a log memo (code -> k) that every
-``dlog`` and every power of g fills, so a parsed ``g^k`` renders back
-without a search; a miss runs baby-step giant-step against one baby-step
-table per field, built by the first search.  Everything is exact.
+from ``_log`` on tabled fields.  Other fields, prime ones included, keep
+a log memo (code -> k) that every ``dlog`` and every power of g fills,
+so a parsed ``g^k`` renders back without a search; a miss runs
+baby-step giant-step against one baby-step table per field, built by
+the first search.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import product
 from math import isqrt
-from operator import lshift, mul, pos, xor
+from operator import lshift, pos, xor
 
 from .errors import FieldArgumentError
 from .intmath import is_prime, prime_factors
@@ -55,7 +58,7 @@ _TABLE_LIMIT = 1 << 13
 
 
 # ---------------------------------------------------------------------------
-# coordinate vectors (tuples of ints mod p, constant term first)
+# codes and coordinate vectors (tuples of ints mod p, constant term first)
 
 def _index_coeffs(k: int, p: int, f: int) -> tuple[int, ...]:
     """The k-th coordinate vector in lexicographic order, c_0 compared first."""
@@ -73,83 +76,87 @@ def _index(coeffs, p: int) -> int:
     return k
 
 
-def _coord_mul(modulus, p):
-    """``(pack, times)`` for multiplying coordinate vectors modulo ``modulus``.
+def _code_ops(p, f, modulus):
+    """``(mul, power, pack, reduce)`` on the codes of F_(p^f) mod ``modulus``.
 
-    ``pack(b)`` packs a vector into one int, a digit per coordinate, and
-    ``times(a, pack(b))`` is the vector of a * b: the packed factors are
-    multiplied as integers (Kronecker substitution), the digits from x^f
-    up are folded back with the packed x^k mod ``modulus``, and the sum is
-    unpacked mod p.  Digits are wide enough that no sum spills over.
+    ``mul(a, b)`` is the code of a * b, ``power(a, e)`` that of
+    a^(e mod (q - 1)).  Prime fields get residue arithmetic, with
+    ``pack`` the identity and ``reduce`` the residue mod p.  For f > 1,
+    ``pack(a)`` holds a's coordinates in one int, c_i as digit i of
+    ``width`` bits, read from tables of the packed high and low halves of
+    the code.  The integer product of two packed elements is their packed
+    coordinate product (Kronecker substitution): digit k < 2f - 1 sums at
+    most f terms c_i d_j, so it is at most f (p - 1)^2.  ``reduce(acc)``
+    adds each digit from x^f up, mod p, times the packed x^k mod
+    ``modulus``: f - 1 folds, each adding at most (p - 1)^2 to a low
+    digit.  Then it reads each low digit mod p into a code.  So the width
+    holds (2f - 1)(p - 1)^2 + p - 1, a folded product plus one packed
+    element, and ``reduce(pack(c) * pack(b) + pack(a))`` is c * b + a.
     """
-    f = len(modulus) - 1
-    width = ((2 * f - 1) * (p - 1) ** 2).bit_length()
-    mask = (1 << width) - 1
+    n = p ** f - 1
+    if f == 1:
+        return (lambda a, b: a * b % p, lambda a, e: pow(a, e % n, p),
+                pos, p.__rmod__)
+    width = ((2 * f - 1) * (p - 1) ** 2 + p - 1).bit_length()
+    mask, low_mask = (1 << width) - 1, (1 << width * f) - 1
     low = range(0, width * f, width)
     high = range(width * f, width * (2 * f - 1), width)
-    low_mask = (1 << width * f) - 1
 
-    def pack(t):
-        return sum(map(lshift, t, low))
+    def table(shifts):   # the packed digits of every code of len(shifts) digits
+        return [sum(map(lshift, t, shifts))
+                for t in product(range(p), repeat=len(shifts))]
+    split = p ** (f // 2)
+    tops, bottoms = table(low[:f - f // 2]), table(low[f - f // 2:])
+
+    def pack(a):
+        top, bottom = divmod(a, split)
+        return tops[top] + bottoms[bottom]
 
     folds, row = [], (0,) * (f - 1) + (1,)
     for _ in high:
         top = row[-1]   # row * x, with x^f replaced by its remainder
         row = tuple((a - top * m) % p for a, m in zip((0,) + row[:-1], modulus))
-        folds.append(pack(row))
+        folds.append(sum(map(lshift, row, low)))
 
-    def times(a, pb):
-        prod = pack(a) * pb
-        acc = (prod & low_mask) + sum(map(mul, [(prod >> s & mask) % p
-                                                for s in high], folds))
-        return tuple([(acc >> s & mask) % p for s in low])
-    return pack, times
+    def reduce(acc):
+        acc = (acc & low_mask) + sum([(acc >> s & mask) % p * t
+                                      for s, t in zip(high, folds)])
+        code = 0
+        for s in low:
+            code = code * p + (acc >> s & mask) % p
+        return code
 
+    def mul(a, b):
+        return reduce(pack(a) * pack(b))
 
-def _fq_pow(a, e, pack, times):
-    result = (1,) + (0,) * (len(a) - 1)
-    while e:
-        if e & 1:
-            result = times(result, pack(a))
-        e >>= 1
-        if e:
-            a = times(a, pack(a))
-    return result
-
-
-def _element_order(a, q, pack, times):
-    one = (1,) + (0,) * (len(a) - 1)
-    n = q - 1
-    order = n
-    for ell in prime_factors(n):
-        while order % ell == 0 and _fq_pow(a, order // ell, pack, times) == one:
-            order //= ell
-    return order
+    def power(a, e):
+        r, e, pa = p ** (f - 1), e % n, pack(a)
+        while e:
+            if e & 1:
+                r = reduce(pack(r) * pa)
+            e >>= 1
+            if e:
+                pa = pack(reduce(pa * pa))
+        return r
+    return mul, power, pack, reduce
 
 
-def _prime_field(p):
-    return FqField(p, 1, (0, 1), _find_generator(p, 1, p, (0, 1)))
+def _is_generator(a, q, one, power):
+    """Whether code a has order q - 1: a^((q-1)/l) != 1 for each prime l | q - 1."""
+    return a != 0 and all(power(a, (q - 1) // ell) != one
+                          for ell in prime_factors(q - 1))
 
 
 def _find_modulus(p, f):
     if f == 1:
         return (0, 1)
-    fp = _prime_field(p)
+    fp = build_field(p, 1, max_q=p)
     # constant term 0 means divisibility by x, so start past those vectors
     for k in range(p ** (f - 1), p ** f):
         cand = _index_coeffs(k, p, f) + (1,)
         if rabin(fp, list(cand)):
             return cand
     raise ValueError(f"no monic irreducible of degree {f} over F_{p}")  # unreachable
-
-
-def _find_generator(p, f, q, modulus):
-    pack, times = _coord_mul(modulus, p)
-    for k in range(1, q):
-        coeffs = _index_coeffs(k, p, f)
-        if _element_order(coeffs, q, pack, times) == q - 1:
-            return coeffs
-    raise ValueError("no generator found")  # unreachable: F_q* is cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +204,22 @@ def build_field(p: int, f: int, *, modulus=None, generator=None,
         if any(not 0 <= c < p for c in modulus):
             raise FieldArgumentError("modulus",
                                      "modulus coefficients must lie in [0, p)")
-        if f > 1 and not rabin(_prime_field(p), list(modulus)):
+        if f > 1 and not rabin(build_field(p, 1, max_q=p), list(modulus)):
             raise FieldArgumentError("modulus", "modulus is not irreducible over F_p")
 
+    ops, one = _code_ops(p, f, modulus), p ** (f - 1)
     if generator is None:
-        generator = _find_generator(p, f, q, modulus)
+        gcode = next(a for a in range(1, q) if _is_generator(a, q, one, ops[1]))
     else:
         generator = tuple(int(c) % p for c in generator)
         if len(generator) != f:
             raise FieldArgumentError("generator", "generator must have f coordinates")
-        if not any(generator) or \
-                _element_order(generator, q, *_coord_mul(modulus, p)) != q - 1:
+        gcode = _index(generator, p)
+        if not _is_generator(gcode, q, one, ops[1]):
             raise FieldArgumentError("generator",
                                      "generator does not have order q - 1")
 
-    return FqField(p, f, modulus, generator)
+    return FqField(p, f, modulus, gcode, ops)
 
 
 _CODE_OPS = ("_add", "_neg", "_mul", "_pow", "_prep", "_axpy")
@@ -220,30 +228,30 @@ _CODE_OPS = ("_add", "_neg", "_mul", "_pow", "_prep", "_axpy")
 class FqField:
     """The field with q = p^f elements; use :func:`build_field` to create one."""
 
-    __slots__ = ("p", "f", "q", "modulus", "_gen", "_gcode", "_one", "_hash",
-                 "_pack", "_times", "_exp", "_log", "_zech", "_memo",
+    __slots__ = ("p", "f", "q", "modulus", "_gcode", "_one", "_hash", "_ops",
+                 "_tabled", "_exp", "_log", "_zech", "_memo",
                  "_baby") + _CODE_OPS
 
-    def __init__(self, p, f, modulus, generator):
+    def __init__(self, p, f, modulus, gcode, ops):
         self.p = p
         self.f = f
         self.q = p ** f
         self.modulus = tuple(modulus)
-        self._gen = tuple(generator)
-        self._gcode = _index(self._gen, p)
+        self._gcode = gcode
         self._one = p ** (f - 1)
-        self._pack, self._times = _coord_mul(self.modulus, p)
+        self._ops = ops
+        self._tabled = f > 1 and self.q <= _TABLE_LIMIT
         self._exp = self._log = self._zech = self._baby = None
         self._memo = {}
-        self._hash = hash(("FqField", p, f, self.modulus, self._gen))
+        self._hash = hash(("FqField", p, f, self.modulus, gcode))
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, FqField):
             return NotImplemented
-        return (self.p, self.f, self.modulus, self._gen) == \
-            (other.p, other.f, other.modulus, other._gen)
+        return (self.p, self.f, self.modulus, self._gcode) == \
+            (other.p, other.f, other.modulus, other._gcode)
 
     def __hash__(self):
         return self._hash
@@ -303,105 +311,77 @@ class FqField:
         return int(a) % self.p * self._one
 
     def _tables(self) -> bool:
-        """Build the exp/log (and Zech) arrays once; False above the limit."""
-        if self._log is not None:
-            return True
-        if self.q > _TABLE_LIMIT:
-            return False
-        p, f, q, n = self.p, self.f, self.q, self.q - 1
-        exp = array("l", [0]) * (4 * n + 1)
-        log = array("l", [2 * n]) * q
-        if f == 1:
-            code, g = 1, self._gcode
+        """Build the exp/log (and Zech) arrays once; False if built untabled."""
+        if self._tabled and self._log is None:
+            p, q, n, mul = self.p, self.q, self.q - 1, self._ops[0]
+            exp = array("l", [0]) * (4 * n + 1)
+            log = array("l", [2 * n]) * q
+            code = self._one
             for i in range(n):
                 exp[i] = exp[i + n] = code
                 log[code] = i
-                code = code * g % p
-        else:
-            times, g = self._times, self._pack(self._gen)
-            t = (1,) + (0,) * (f - 1)
-            for i in range(n):
-                code = _index(t, p)
-                exp[i] = exp[i + n] = code
-                log[code] = i
-                t = times(t, g)
-        if f > 1 and p > 2:
-            # 1 is the top digit of a code, so adding 1 is adding p^(f-1) mod q
-            self._zech = array("l", (log[(exp[k] + self._one) % q]
-                                     for k in range(n)))
-        self._exp, self._log = exp, log
-        return True
+                code = mul(code, self._gcode)
+            if p > 2:
+                # 1 is the top digit of a code, so adding 1 is adding p^(f-1) mod q
+                self._zech = array("l", (log[(exp[k] + self._one) % q]
+                                         for k in range(n)))
+            self._exp, self._log = exp, log
+        return self._tabled
 
     def _bind(self):
         """Bind the code operations used by FqElem and the kernel loops."""
-        p, f, n = self.p, self.f, self.q - 1
-        if f == 1:
+        p, n = self.p, self.q - 1
+        mul, power, pack, reduce = self._ops
+        self._mul, self._pow = mul, power
+        if self.f == 1:
             def axpy(out, off, c, b):
                 end = off + len(b)
                 out[off:end] = [(o + c * x) % p for o, x in zip(out[off:end], b)]
             self._add = lambda a, b: (a + b) % p
             self._neg = lambda a: -a % p
-            self._mul = lambda a, b: a * b % p
-            self._pow = lambda a, e: pow(a, e % n, p)
             self._prep, self._axpy = tuple, axpy
             return
-        if self._tables():
-            exp, log, zech, half = self._exp, self._log, self._zech, n // 2
-            if p == 2:
-                def axpy(out, off, c, lb):
-                    lc, end = log[c], off + len(lb)
-                    out[off:end] = [o ^ exp[lc + l]
-                                    for o, l in zip(out[off:end], lb)]
-                self._add, self._neg = xor, pos
-            else:
-                def add(a, b):
-                    if not a or not b:
-                        return a or b
-                    la = log[a]
-                    return exp[la + zech[(log[b] - la) % n]]
-
-                def axpy(out, off, c, lb):
-                    lc = log[c]
-                    for j, l in enumerate(lb, off):
-                        if l < n:
-                            o = out[j]
-                            if o:
-                                lo = log[o]
-                                out[j] = exp[lo + zech[(lc + l - lo) % n]]
-                            else:
-                                out[j] = exp[lc + l]
-                self._add = add
-                self._neg = lambda a: exp[log[a] + half]
-            self._mul = lambda a, b: exp[log[a] + log[b]]
-            self._pow = lambda a, e: exp[log[a] * e % n]
-            self._prep = lambda b: [log[x] for x in b]
+        if p == 2:
+            self._add, self._neg = xor, pos
+        else:
+            self._add = lambda a, b: reduce(pack(a) + pack(b))
+            self._neg = lambda a: reduce(pack(a) * (p - 1))
+        if not self._tables():
+            def axpy(out, off, c, pb):
+                pc = pack(c)
+                for j, t in enumerate(pb, off):
+                    out[j] = reduce(pc * t + pack(out[j]))
+            self._prep = lambda b: list(map(pack, b))
             self._axpy = axpy
             return
-        pack, times = self._pack, self._times
-
-        def coords(a):
-            return _index_coeffs(a, p, f)
-
+        exp, log, zech, half = self._exp, self._log, self._zech, n // 2
         if p == 2:
-            def plus(a, v):   # code a plus coordinate vector v
-                return a ^ _index(v, 2)
-            self._neg = pos
+            def axpy(out, off, c, lb):
+                lc, end = log[c], off + len(lb)
+                out[off:end] = [o ^ exp[lc + l]
+                                for o, l in zip(out[off:end], lb)]
         else:
-            def plus(a, v):
-                return _index([(x + y) % p for x, y in zip(coords(a), v)], p)
-            self._neg = lambda a: _index([-x % p for x in coords(a)], p)
+            def add(a, b):
+                if not a or not b:
+                    return a or b
+                la = log[a]
+                return exp[la + zech[(log[b] - la) % n]]
 
-        def add(a, b):
-            return plus(a, coords(b))
-
-        def axpy(out, off, c, pb):
-            c = coords(c)
-            for j, t in enumerate(pb, off):
-                out[j] = plus(out[j], times(c, t))
-        self._add = add
-        self._mul = lambda a, b: _index(times(coords(a), pack(coords(b))), p)
-        self._pow = lambda a, e: _index(_fq_pow(coords(a), e % n, pack, times), p)
-        self._prep = lambda b: [pack(coords(x)) for x in b]
+            def axpy(out, off, c, lb):
+                lc = log[c]
+                for j, l in enumerate(lb, off):
+                    if l < n:
+                        o = out[j]
+                        if o:
+                            lo = log[o]
+                            out[j] = exp[lo + zech[(lc + l - lo) % n]]
+                        else:
+                            out[j] = exp[lc + l]
+            self._add = add
+            self._neg = lambda a: exp[log[a] + half]
+        self._mul = lambda a, b: exp[log[a] + log[b]]
+        self._pow = lambda a, e: exp[log[a] * e % n]
+        self._prep = lambda b: [log[x] for x in b]
         self._axpy = axpy
 
     # -- discrete logarithms ---------------------------------------------------
@@ -419,39 +399,37 @@ class FqField:
             return self._log[code]
         k = self._memo.get(code)
         if k is None:
-            k = self._memo[code] = self._search(x.coeffs)
+            k = self._memo[code] = self._search(code)
         return k
 
-    def _search(self, coeffs):
+    def _search(self, code):
         """Baby-step giant-step: the first search stores the baby steps
-        g^j -> j (j < m = ceil(sqrt(q - 1))) and the packed giant step
-        g^(-m) on the field, and every search takes at most m + 1 giant
-        steps from ``coeffs``."""
-        n, times = self.q - 1, self._times
+        code of g^j -> j (j < m = ceil(sqrt(q - 1))) and the packed giant
+        step g^(-m); every search takes at most m + 1 giant steps."""
+        n = self.q - 1
+        _, power, pack, reduce = self._ops
         if self._baby is None:
-            m, pack = isqrt(n - 1) + 1, self._pack
-            baby, g, t = {}, pack(self._gen), (1,) + (0,) * (self.f - 1)
+            m, g, t, baby = isqrt(n - 1) + 1, pack(self._gcode), self._one, {}
             for j in range(m):
                 baby.setdefault(t, j)
-                t = times(t, g)
-            self._baby = m, baby, pack(_fq_pow(self._gen, n - m, pack, times))
+                t = reduce(pack(t) * g)
+            self._baby = m, baby, pack(power(self._gcode, n - m))
         m, baby, giant = self._baby
-        y = coeffs
         for i in range(m + 1):
-            j = baby.get(y)
+            j = baby.get(code)
             if j is not None:
                 return (i * m + j) % n
-            y = times(y, giant)
+            code = reduce(pack(code) * giant)
         raise ValueError("dlog failed; element not in the multiplicative group")
 
     def _gen_pow(self, e: int) -> int:
         """The code of g^e, binding nothing: read from ``_exp`` once tables
-        exist, else taken on g's coordinates and noted in the log memo.  So
-        the default field that a job's ``gen=`` is read on stays unbound."""
+        exist, else taken on codes and noted in the log memo.  So the
+        default field that a job's ``gen=`` is read on stays unbound."""
         k = e % (self.q - 1)
         if self._exp is not None:
             return self._exp[k]
-        code = _index(_fq_pow(self._gen, k, self._pack, self._times), self.p)
+        code = self._ops[1](self._gcode, k)
         self._memo[code] = k
         return code
 

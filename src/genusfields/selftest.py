@@ -2,12 +2,13 @@
 
 These re-run the package's main invariants on small random corpora:
 discrete-log round trips (tabled, and by search above the table
-limit), refactoring of random polynomials, the
-subgroup engine against exhaustive enumeration, every cross-check of
-``report._audit`` on random extensions (the two ramification formulas,
-the degree formula, the containment chain, the constant field), the
-fixed-point property of the genus field construction, and byte
-determinism of the JSON report.  The full-size versions live in the
+limit), refactoring of random polynomials (over the field pool, and
+over 3^9, whose odd-p arithmetic is untabled), the subgroup engine
+against exhaustive enumeration, every cross-check of ``report._audit``
+on random extensions (the two ramification formulas, the degree
+formula, the containment chain, the constant field), the fixed-point
+property of the genus field construction, and byte determinism of the
+JSON report.  The full-size versions live in the
 test suite; this is a quick health check with no test dependencies.
 """
 
@@ -115,16 +116,23 @@ def check_dlog_search(rng, count=50):
     return True
 
 
-def check_factor_refactors(rng, count=80):
+def check_factor_refactors(rng, count=80, keys=FIELD_POOL, max_deg=8):
+    """Each polynomial is a random multiple of a linear factor, which its
+    factorization must list; the factors are irreducible and multiply back."""
     for _ in range(count):
-        field = pooled_field(*rng.choice(FIELD_POOL))
-        f = random_monic(field, rng, 8, min_deg=1)
+        field = pooled_field(*rng.choice(keys))
+        linear = Poly(field, [field.from_index(rng.randrange(field.q)), field.one])
+        f = random_monic(field, rng, max_deg - 1) * linear
+        try:
+            found = factor(f, seed=rng.randrange(1 << 30))
+        except ValueError:   # a factor that fails its own irreducibility check
+            return False
         product = Poly.one(field)
-        for P, mult in factor(f, seed=rng.randrange(1 << 30)):
+        for P, mult in found:
             if not is_irreducible(P.poly):
                 return False
             product = product * P.poly ** mult
-        if product != f:
+        if product != f or linear not in [P.poly for P, _ in found]:
             return False
     return True
 
@@ -175,6 +183,8 @@ def run_selftest(seed: int = 0, write=print) -> bool:
         ("dlog search round trip",
          lambda: check_dlog_search(random.Random(seed))),
         ("factorization refactors", lambda: check_factor_refactors(rng)),
+        ("untabled odd-p refactors",
+         lambda: check_factor_refactors(random.Random(seed), 4, ((3, 9),), 5)),
         ("subgroup engine vs enumeration", lambda: check_group_engine(rng)),
         ("extension pipeline invariants", lambda: check_extension_pipeline(rng)),
         ("report determinism", lambda: check_report_determinism(rng)),

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from genusfields import build_field, element_sort_key, parse_input, render_job
+from genusfields import Poly, build_field, element_sort_key, parse_input, render_job
 from genusfields import ffield
 
 from conftest import FIELD_KEYS, field
@@ -162,15 +162,23 @@ def test_bsgs_large_field():
     assert fld._log is None
 
 
-# p = 2 and odd p, f = 1 and f > 1, all tabled at the default limit
+# p = 2 and odd p, f = 1 and f > 1; the extension fields are tabled at the
+# default limit
 SEARCH_KEYS = ((5, 1), (13, 1), (2, 2), (2, 3), (3, 2), (3, 5), (2, 10))
 
 
 @pytest.mark.parametrize("p,f", SEARCH_KEYS)
 def test_search_agrees_with_tables(p, f, monkeypatch):
     tabled = build_field(p, f)
-    want = [tabled.dlog(x) for x in tabled.elements() if x]
-    assert tabled._log is not None
+    if f == 1:   # prime fields build no tables: walk the powers of g
+        logs, x = {}, tabled.one
+        for k in range(tabled.q - 1):
+            logs[x.code] = k
+            x = x * tabled.g
+        want = [logs[x.code] for x in tabled.elements() if x]
+    else:
+        want = [tabled.dlog(x) for x in tabled.elements() if x]
+        assert tabled._log is not None
     monkeypatch.setattr(ffield, "_TABLE_LIMIT", 1)
     fld = build_field(p, f)
     fld._bind()
@@ -200,11 +208,66 @@ def test_parsed_generator_power_renders_without_search():
 
 
 @pytest.mark.parametrize("p,f,tabled", [(2, 13, True), (3, 8, True),
-                                        (2, 14, False), (3, 9, False)])
+                                        (2, 14, False), (3, 9, False),
+                                        (4099, 1, False), (8191, 1, False)])
 def test_table_limit_sides(p, f, tabled):
     fld = build_field(p, f)
     fld._bind()
+    x = fld.from_index(fld.q - 1)
+    assert fld.g ** fld.dlog(x) == x
     assert (fld._log is not None) == tabled
+
+
+def test_table_choice_is_made_when_built(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(ffield, "_TABLE_LIMIT", 1)
+        fld = build_field(3, 2)
+        fld._bind()
+    x = fld.from_index(5)
+    assert fld.g ** fld.dlog(x) == x
+    assert fld._log is None
+
+
+def _ref_product(a, b, modulus, p):
+    """Coordinate product of a and b, reduced by the monic modulus and p."""
+    f = len(modulus) - 1
+    out = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for k in range(2 * f - 2, f - 1, -1):   # x^k = x^(k-f) * (x^f - modulus)
+        c = out.pop()
+        for i, m in enumerate(modulus[:-1]):
+            out[k - f + i] -= c * m
+    return tuple(c % p for c in out)
+
+
+@pytest.mark.parametrize("p,f", [(1021, 2), (3, 12), (2, 20), (5, 8)])
+def test_packed_arithmetic_at_widest_digits(p, f):
+    """Untabled products, sums, negation and polynomial division against a
+    plain coordinate product; the codes q-1 ... q-5 have the largest digits."""
+    fld = build_field(p, f)
+    rng = random.Random(p * f)
+    xs = [fld.from_index(c) for c in range(fld.q - 1, fld.q - 6, -1)]
+    xs += [fld.from_index(rng.randrange(fld.q)) for _ in range(25)]
+    for x in xs:
+        assert (-x).coeffs == tuple(-c % p for c in x.coeffs)
+        for y in xs:
+            assert (x * y).coeffs == _ref_product(x.coeffs, y.coeffs, fld.modulus, p)
+            assert (x + y).coeffs == tuple((c + d) % p
+                                           for c, d in zip(x.coeffs, y.coeffs))
+    assert fld._log is None
+    A, B = Poly(fld, xs), Poly(fld, xs[5:9] + xs[:1])
+    quo, rem = divmod(A, B)
+    assert rem.degree() < B.degree()
+    got = [[0] * f for _ in range(len(A.coeffs))]   # quo * B + rem, by coordinates
+    for i, c in enumerate(quo.coeffs):
+        for j, d in enumerate(B.coeffs):
+            got[i + j] = [s + t for s, t in zip(got[i + j], _ref_product(
+                c.coeffs, d.coeffs, fld.modulus, p))]
+    for i, c in enumerate(rem.coeffs):
+        got[i] = [s + t for s, t in zip(got[i], c.coeffs)]
+    assert [tuple(s % p for s in v) for v in got] == [c.coeffs for c in A.coeffs]
 
 
 def test_element_sort_key():
