@@ -9,6 +9,13 @@ update ``F._axpy(out, off, c, F._prep(b))``, which adds c * b to ``out``
 from position ``off`` on.  The field picks the fastest form of each for
 its size and characteristic.
 
+The Frobenius map v -> v^q on F_q[x]/(m) is F_q-linear, so once the
+rows x^(iq) mod m are known (:func:`frobenius_rows`, built from x^q mod m)
+each further q-th power is one combination of rows (:func:`frobenius`)
+instead of a ``pow_mod``.  :func:`rabin_holds` reads Rabin's criterion
+from Frobenius powers its caller supplies; :func:`rabin` is the full test,
+computing them by ``pow_mod``.
+
 This module imports nothing from the package but :mod:`intmath`, so
 :mod:`ffield` certifies its defining modulus with :func:`rabin` over F_p,
 and :mod:`polyring` wraps the same loops in its :class:`Poly` type.
@@ -113,19 +120,52 @@ def pth_root(F, a):
     return [power(c, e) if c else 0 for c in a[::F.p]]
 
 
-def rabin(F, m, pow_mod=pow_mod, gcd=gcd):
+def frobenius_rows(F, xq, m):
+    """The rows x^(iq) mod m, i < deg m, of the Frobenius map v -> v^q on
+    F[x]/(m), from xq = x^q mod m, prepared for ``F._axpy``.  Row i is
+    row i - 1 times xq, so the build costs deg m - 2 modular products."""
+    rows = [[F._one], xq]
+    for _ in range(len(m) - 3):
+        rows.append(div_mod(F, mul(F, rows[-1], xq), m)[1])
+    return [F._prep(r) for r in rows[:len(m) - 1]]
+
+
+def frobenius(F, rows, v):
+    """v^q mod m for v reduced mod m, from the rows of
+    :func:`frobenius_rows`: the combination of rows with v's coefficients,
+    since Frobenius is F_q-linear (c^q = c on F_q)."""
+    out = [0] * len(rows)
+    axpy = F._axpy
+    for c, row in zip(v, rows):
+        if c:
+            axpy(out, 0, c, row)
+    return trim(out)
+
+
+def rabin_holds(F, m, frob, gcd=gcd):
     """Rabin's criterion for a monic m of degree n >= 1 over F: m is
     irreducible iff x^(q^n) = x mod m and gcd(x^(q^(n/l)) - x, m) = 1 for
-    every prime l dividing n.  ``pow_mod`` and ``gcd`` default to this
-    module's; :mod:`polyring` passes its public ones."""
+    every prime l dividing n.  ``frob(j)`` gives x^(q^j) modulo m or
+    modulo any multiple of m; it is asked for the exponents in increasing
+    order, and not at all when a gcd fails or n = 1."""
     n = len(m) - 1
     if n == 1:
         return True
     x = div_mod(F, [0, F._one], m)[1]
-    needed = {n // ell for ell in prime_factors(n)}
-    frob = x
-    for j in range(1, n + 1):
-        frob = pow_mod(F, frob, F.q, m)
-        if j in needed and j < n and len(gcd(F, sub(F, frob, x), m)) != 1:
+    for j in sorted(n // ell for ell in prime_factors(n)):
+        if len(gcd(F, sub(F, div_mod(F, frob(j), m)[1], x), m)) != 1:
             return False
-    return frob == x
+    return div_mod(F, frob(n), m)[1] == x
+
+
+def rabin(F, m, pow_mod=pow_mod, gcd=gcd):
+    """:func:`rabin_holds` on the powers x^(q^j) mod m, each one
+    ``pow_mod`` of the last.  ``pow_mod`` and ``gcd`` default to this
+    module's; :mod:`polyring` passes its public ones."""
+    frobs = [[0, F._one]]
+
+    def frob(j):
+        while len(frobs) <= j:
+            frobs.append(pow_mod(F, frobs[-1], F.q, m))
+        return frobs[j]
+    return rabin_holds(F, m, frob, gcd)

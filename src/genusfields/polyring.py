@@ -6,7 +6,9 @@ polynomial is the empty tuple); ``Poly.coeffs`` decodes them to
 :class:`FqElem` values.  The arithmetic runs the int loops of
 :mod:`kernel`.  The primes of the rational function field are monic
 irreducibles, wrapped in :class:`MonicIrreducible` which certifies
-irreducibility when built.
+irreducibility when built: the public constructor by the full Rabin test
+of :func:`is_irreducible`, and :func:`factor` from the Frobenius powers
+of its distinct-degree stage.
 
 Everything here follows one canonical ordering, used for all sorted
 output and for the coordinates of radicand vectors: polynomials compare
@@ -15,9 +17,15 @@ where a prime-field coefficient sorts by its integer value and an
 extension-field coefficient sorts by discrete logarithm with 0 first.
 
 `factor` runs squarefree decomposition, then distinct-degree splitting,
-then Cantor-Zassenhaus equal-degree splitting.  The equal-degree stage
-is randomized but consumes an explicit seed, so a fixed seed gives a
-bit-reproducible factorization.
+then Cantor-Zassenhaus equal-degree splitting.  The distinct-degree
+stage computes x^(q^j) mod each squarefree part h once, by ``pow_mod``
+for j = 1 and by the Frobenius matrix mod h after (see :mod:`kernel`),
+and keeps every power: a prime P of degree d divides h, so the powers
+mod h give Rabin's criterion for P, x^(q^d) = x mod P and
+gcd(x^(q^(d/l)) - x, P) = 1 for each prime l | d.  A prime left over
+after the splitting has its powers carried on up to its degree.  The
+equal-degree stage is randomized but consumes an explicit seed, so a
+fixed seed gives a bit-reproducible factorization.
 """
 
 from __future__ import annotations
@@ -130,8 +138,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def derivative(self) -> "Poly":
@@ -244,27 +253,43 @@ def _random_poly(field: FqField, rng: random.Random, max_deg: int) -> Poly:
     return Poly._make(field, [rng.randrange(field.q) for _ in range(max_deg + 1)])
 
 
-def _distinct_degree(h: Poly) -> list[tuple[Poly, int]]:
+def _distinct_degree(h: Poly):
     """Split a monic squarefree polynomial into products of irreducibles of
-    equal degree, returned as (product, degree) pairs."""
+    equal degree, as (product, degree) pairs, and return them with
+    ``frob``: ``frob(j)`` is the code list of x^(q^j) mod h.
+
+    Step 1 is ``pow_mod``.  Once a second step is due, the rows of the
+    Frobenius map mod h are built from step 1, and every later step is one
+    row combination (:func:`kernel.frobenius`).  Every power is kept, so
+    ``frob`` serves the certificate of each prime found here (see
+    :meth:`MonicIrreducible._certified`), the leftover prime's included."""
     field = h.field
     t = variable(field)
+    frobs = [list(t.codes)]
+    rows = []
+
+    def frob(j):
+        while len(frobs) <= j:
+            if len(frobs) == 1:
+                frobs.append(list(pow_mod(t, field.q, h).codes))
+                continue
+            if not rows:
+                rows.extend(_k.frobenius_rows(field, frobs[1], h.codes))
+            frobs.append(_k.frobenius(field, rows, frobs[-1]))
+        return frobs[j]
+
     out = []
     rem = h
-    frob = t % rem
     d = 0
     while rem.degree() >= 2 * (d + 1):
         d += 1
-        frob = pow_mod(frob, field.q, rem)
-        g = gcd(rem, frob - t)
+        g = gcd(rem, Poly._make(field, frob(d)) - t)
         if g.degree() > 0:
             out.append((g, d))
             rem = rem // g
-            if rem.degree() > 0:
-                frob = frob % rem
     if rem.degree() > 0:
         out.append((rem, rem.degree()))
-    return out
+    return out, frob
 
 
 def _equal_degree(h: Poly, d: int, rng: random.Random) -> list[Poly]:
@@ -296,7 +321,12 @@ def _equal_degree(h: Poly, d: int, rng: random.Random) -> list[Poly]:
 
 @dataclass(frozen=True)
 class MonicIrreducible:
-    """A monic irreducible polynomial, certified at construction."""
+    """A monic irreducible polynomial, certified at construction.
+
+    ``MonicIrreducible(poly)`` runs the full Rabin test of
+    :func:`is_irreducible`.  The primes that :func:`factor` returns are
+    built by :meth:`_certified` instead, which reads Rabin's criterion from
+    the Frobenius powers the distinct-degree stage already computed."""
 
     poly: Poly
 
@@ -305,6 +335,17 @@ class MonicIrreducible:
             raise ValueError("prime must be monic")
         if not is_irreducible(self.poly):
             raise ValueError("prime must be irreducible")
+
+    @classmethod
+    def _certified(cls, poly: Poly, frob) -> "MonicIrreducible":
+        """The monic ``poly``, certified by Rabin's criterion on
+        ``frob(j)``, the code list of x^(q^j) modulo a multiple of
+        ``poly``, without the full test that the constructor runs."""
+        if not _k.rabin_holds(poly.field, poly.codes, frob, _gcd_codes):
+            raise ValueError("prime must be irreducible")
+        out = cls.__new__(cls)
+        object.__setattr__(out, "poly", poly)
+        return out
 
     @property
     def deg(self) -> int:
@@ -326,9 +367,10 @@ def factor(f: Poly, seed: int = 0) -> list[tuple[MonicIrreducible, int]]:
     rng = random.Random(seed)
     out = []
     for part, mult in squarefree_decomposition(f):
-        for prod_, d in _distinct_degree(part):
+        pairs, frob = _distinct_degree(part)
+        for prod_, d in pairs:
             for irr in _equal_degree(prod_, d, rng):
-                out.append((MonicIrreducible(irr), mult))
+                out.append((MonicIrreducible._certified(irr, frob), mult))
     out.sort(key=lambda item: item[0].sort_key())
     return out
 

@@ -3,12 +3,12 @@
 These re-run the package's main invariants on small random corpora:
 discrete-log round trips (tabled, and by search above the table
 limit), refactoring of random polynomials (over the field pool, and
-over 3^9, whose odd-p arithmetic is untabled), the subgroup engine
-against exhaustive enumeration, every cross-check of ``report._audit``
-on random extensions (the two ramification formulas, the degree
-formula, the containment chain, the constant field), the fixed-point
-property of the genus field construction, and byte determinism of the
-JSON report.  The full-size versions live in the
+over 3^9 and 2^14, whose odd-p and p = 2 arithmetic is untabled), the
+subgroup engine against exhaustive enumeration, every cross-check of
+``report._audit`` on random extensions (the two ramification formulas,
+the degree formula, the containment chain, the constant field), the
+fixed-point property of the genus field construction, and byte
+determinism of the JSON report.  The full-size versions live in the
 test suite; this is a quick health check with no test dependencies.
 """
 
@@ -185,6 +185,8 @@ def run_selftest(seed: int = 0, write=print) -> bool:
         ("factorization refactors", lambda: check_factor_refactors(rng)),
         ("untabled odd-p refactors",
          lambda: check_factor_refactors(random.Random(seed), 4, ((3, 9),), 5)),
+        ("untabled p = 2 refactors",
+         lambda: check_factor_refactors(random.Random(seed), 4, ((2, 14),), 5)),
         ("subgroup engine vs enumeration", lambda: check_group_engine(rng)),
         ("extension pipeline invariants", lambda: check_extension_pipeline(rng)),
         ("report determinism", lambda: check_report_determinism(rng)),

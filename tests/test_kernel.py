@@ -2,8 +2,9 @@
 
 Products, division with remainder, gcd and modular powers of ``Poly`` are
 checked against a plain schoolbook reference written with ``FqElem``
-operators, on both arithmetic paths of ``ffield``: the tabled one and the
-untabled one, forced by building the fields with ``_TABLE_LIMIT`` set low.
+operators, and one Frobenius matrix step against ``pow_mod``, on both
+arithmetic paths of ``ffield``: the tabled one and the untabled one,
+forced by building the fields with ``_TABLE_LIMIT`` set low.
 The fields cover p = 2 and odd p, f = 1 and f > 1.
 """
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusfields import Poly, build_field, gcd, pow_mod
-from genusfields import ffield
+from genusfields import ffield, kernel
 
 KEYS = ((2, 1), (2, 2), (2, 3), (3, 2), (13, 1), (65537, 1))
 
@@ -110,6 +111,22 @@ def test_kernel_matches_schoolbook(fields, case):
         assert (list(quo.coeffs), list(rem.coeffs)) == ref_divmod(fld, ea, eb)
     if len(eb) > 1:
         assert list(pow_mod(A, e, B).coeffs) == ref_pow_mod(fld, ea, e, eb)
+
+
+@pytest.mark.parametrize("fields", [TABLED, UNTABLED], ids=["tabled", "untabled"])
+@settings(max_examples=100, deadline=None)
+@given(case=cases())
+def test_frobenius_step_matches_pow_mod(fields, case):
+    """One row combination of the Frobenius matrix mod h is v^q mod h."""
+    key, a, b, _ = case
+    fld = fields[key]
+    H = Poly(fld, [fld.from_index(c) for c in b or [0]] + [fld.one])
+    V = Poly(fld, _elems(fld, a)) % H
+    xq = pow_mod(Poly.from_ints(fld, [0, 1]), fld.q, H)
+    rows = kernel.frobenius_rows(fld, list(xq.codes), H.codes)
+    assert len(rows) == H.degree()
+    assert tuple(kernel.frobenius(fld, rows, V.codes)) == \
+        pow_mod(V, fld.q, H).codes
 
 
 @settings(max_examples=150, deadline=None)

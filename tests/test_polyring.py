@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from genusfields import (MonicIrreducible, Poly, factor, gcd, is_irreducible,
-                         poly_sort_key, squarefree_decomposition, valuation,
-                         variable)
+                         poly_sort_key, pow_mod, squarefree_decomposition,
+                         valuation, variable)
 
 from conftest import FIELD_KEYS, brute_force_factor, field
 
@@ -179,3 +180,54 @@ def test_canonical_factor_order(F5, F9):
 def test_poly_sort_key_prefix_rule(F5):
     assert poly_sort_key(P(F5, [0, 1])) < poly_sort_key(P(F5, [1, 1]))
     assert poly_sort_key(P(F5, [0, 1])) < poly_sort_key(P(F5, [0, 1, 1]))
+
+
+def _frobenius_powers(h, n):
+    """x^(q^j) mod h for j = 0..n, each by pow_mod of the last."""
+    powers = [variable(h.field) % h]
+    for _ in range(n):
+        powers.append(pow_mod(powers[-1], h.field.q, h))
+    return [list(X.codes) for X in powers]
+
+
+def test_certificate_refuses_product_of_equal_degree_primes(F5, F4):
+    for fld, d in ((F5, 2), (F5, 3), (F4, 3)):
+        monics = (Poly(fld, [fld.from_index(c) for c in codes] + [fld.one])
+                  for codes in product(range(fld.q), repeat=d))
+        primes = [Q for Q in monics if is_irreducible(Q)][:2]
+        both = primes[0] * primes[1]
+        powers = _frobenius_powers(both, 2 * d)
+        with pytest.raises(ValueError):
+            MonicIrreducible._certified(both, powers.__getitem__)
+        # the same powers certify each prime on its own
+        for Q in primes:
+            assert MonicIrreducible._certified(Q, powers.__getitem__).poly == Q
+
+
+def _sparse(fld, d):
+    """T^d+T+1 on prime fields, T^d+gT+g otherwise."""
+    c = fld.one if fld.f == 1 else fld.g
+    return Poly(fld, [c, c] + [fld.zero] * (d - 2) + [fld.one])
+
+
+def _check_factorization(poly, factors):
+    back = Poly.one(poly.field)
+    for Q, mult in factors:
+        assert is_irreducible(Q.poly)
+        back = back * Q.poly ** mult
+    assert back == poly
+
+
+@pytest.mark.parametrize("key", [(13, 1), (3, 2), (2, 3)])
+def test_factor_high_degree_shapes(key):
+    fld = field(*key)
+    for d in range(24, 37):
+        poly = _sparse(fld, d)
+        _check_factorization(poly, factor(poly, seed=d))
+
+
+def test_factor_leftover_prime_above_half_degree(F13):
+    poly = _sparse(F13, 50)
+    factors = factor(poly, seed=0)
+    assert sorted(Q.deg for Q, _ in factors) == [1, 1, 6, 7, 35]
+    _check_factorization(poly, factors)
