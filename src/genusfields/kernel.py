@@ -12,9 +12,9 @@ its size and characteristic.
 The Frobenius map v -> v^q on F_q[x]/(m) is F_q-linear, so once the
 rows x^(iq) mod m are known (:func:`frobenius_rows`, built from x^q mod m)
 each further q-th power is one combination of rows (:func:`frobenius`)
-instead of a ``pow_mod``.  :func:`rabin_holds` reads Rabin's criterion
-from Frobenius powers its caller supplies; :func:`rabin` is the full test,
-computing them by ``pow_mod``.
+instead of a ``pow_mod``.  :func:`frobenius_powers` is the one place the
+powers x^(q^j) mod m are computed, and :func:`rabin_holds` reads Rabin's
+criterion from them; :func:`rabin` is the full test on m's own powers.
 
 This module imports nothing from the package but :mod:`intmath`, so
 :mod:`ffield` certifies its defining modulus with :func:`rabin` over F_p,
@@ -142,15 +142,36 @@ def frobenius(F, rows, v):
     return trim(out)
 
 
-def rabin_holds(F, m, frob, gcd=gcd):
-    """Rabin's criterion for a monic m of degree n >= 1 over F: m is
-    irreducible iff x^(q^n) = x mod m and gcd(x^(q^(n/l)) - x, m) = 1 for
-    every prime l dividing n.  ``frob(j)`` gives x^(q^j) modulo m or
-    modulo any multiple of m; it is asked for the exponents in increasing
-    order, and not at all when a gcd fails or n = 1."""
+def frobenius_powers(F, m):
+    """The function j -> x^(q^j) mod m, for m of degree >= 1, keeping every
+    power it computes.  x^q is one ``pow_mod``; once a second step is due
+    the rows of :func:`frobenius_rows` are built, and each later power is
+    one :func:`frobenius` step of the last."""
+    powers = [div_mod(F, [0, F._one], m)[1]]
+    rows = []
+
+    def frob(j):
+        while len(powers) <= j:
+            if len(powers) == 1:
+                powers.append(pow_mod(F, powers[0], F.q, m))
+                continue
+            if not rows:
+                rows.extend(frobenius_rows(F, powers[1], m))
+            powers.append(frobenius(F, rows, powers[-1]))
+        return powers[j]
+    return frob
+
+
+def rabin_holds(F, m, frob):
+    """Rabin's criterion for a monic m of degree n over F: m is
+    irreducible iff n >= 1, x^(q^n) = x mod m, and
+    gcd(x^(q^(n/l)) - x, m) = 1 for every prime l dividing n.  ``frob(j)``
+    gives x^(q^j) modulo m or modulo any multiple of m; it is asked for
+    the exponents in increasing order, and not at all when a gcd fails or
+    n <= 1."""
     n = len(m) - 1
-    if n == 1:
-        return True
+    if n <= 1:
+        return n == 1
     x = div_mod(F, [0, F._one], m)[1]
     for j in sorted(n // ell for ell in prime_factors(n)):
         if len(gcd(F, sub(F, div_mod(F, frob(j), m)[1], x), m)) != 1:
@@ -158,14 +179,6 @@ def rabin_holds(F, m, frob, gcd=gcd):
     return div_mod(F, frob(n), m)[1] == x
 
 
-def rabin(F, m, pow_mod=pow_mod, gcd=gcd):
-    """:func:`rabin_holds` on the powers x^(q^j) mod m, each one
-    ``pow_mod`` of the last.  ``pow_mod`` and ``gcd`` default to this
-    module's; :mod:`polyring` passes its public ones."""
-    frobs = [[0, F._one]]
-
-    def frob(j):
-        while len(frobs) <= j:
-            frobs.append(pow_mod(F, frobs[-1], F.q, m))
-        return frobs[j]
-    return rabin_holds(F, m, frob, gcd)
+def rabin(F, m):
+    """Rabin's test of a monic m, on its own powers."""
+    return rabin_holds(F, m, frobenius_powers(F, m))

@@ -6,9 +6,9 @@ polynomial is the empty tuple); ``Poly.coeffs`` decodes them to
 :class:`FqElem` values.  The arithmetic runs the int loops of
 :mod:`kernel`.  The primes of the rational function field are monic
 irreducibles, wrapped in :class:`MonicIrreducible` which certifies
-irreducibility when built: the public constructor by the full Rabin test
-of :func:`is_irreducible`, and :func:`factor` from the Frobenius powers
-of its distinct-degree stage.
+irreducibility when built, by Rabin's criterion on Frobenius powers:
+those :func:`factor`'s distinct-degree stage computed, or else the
+polynomial's own.
 
 Everything here follows one canonical ordering, used for all sorted
 output and for the coordinates of radicand vectors: polynomials compare
@@ -18,20 +18,19 @@ extension-field coefficient sorts by discrete logarithm with 0 first.
 
 `factor` runs squarefree decomposition, then distinct-degree splitting,
 then Cantor-Zassenhaus equal-degree splitting.  The distinct-degree
-stage computes x^(q^j) mod each squarefree part h once, by ``pow_mod``
-for j = 1 and by the Frobenius matrix mod h after (see :mod:`kernel`),
-and keeps every power: a prime P of degree d divides h, so the powers
-mod h give Rabin's criterion for P, x^(q^d) = x mod P and
-gcd(x^(q^(d/l)) - x, P) = 1 for each prime l | d.  A prime left over
-after the splitting has its powers carried on up to its degree.  The
-equal-degree stage is randomized but consumes an explicit seed, so a
-fixed seed gives a bit-reproducible factorization.
+stage computes x^(q^j) mod each squarefree part h once, by
+:func:`kernel.frobenius_powers`, which keeps every power: a prime P of
+degree d divides h, so the powers mod h give Rabin's criterion for P,
+x^(q^d) = x mod P and gcd(x^(q^(d/l)) - x, P) = 1 for each prime l | d.
+A prime left over after the splitting has its powers carried on up to its
+degree.  The equal-degree stage is randomized but consumes an explicit
+seed, so a fixed seed gives a bit-reproducible factorization.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from . import kernel as _k
 from .ffield import FqField, FqElem, element_sort_key
@@ -235,17 +234,7 @@ def is_irreducible(f: Poly) -> bool:
     """Rabin's criterion over F_q.  Constants are not irreducible."""
     if f.is_zero():
         raise ValueError("the zero polynomial has no irreducibility status")
-    if f.degree() < 1:
-        return False
-    return _k.rabin(f.field, f.monic().codes, _pow_mod_codes, _gcd_codes)
-
-
-def _pow_mod_codes(field, a, e, m):
-    return list(pow_mod(Poly._make(field, a), e, Poly._make(field, m)).codes)
-
-
-def _gcd_codes(field, a, b):
-    return list(gcd(Poly._make(field, a), Poly._make(field, b)).codes)
+    return _k.rabin(f.field, f.monic().codes)
 
 
 def _random_poly(field: FqField, rng: random.Random, max_deg: int) -> Poly:
@@ -256,28 +245,12 @@ def _random_poly(field: FqField, rng: random.Random, max_deg: int) -> Poly:
 def _distinct_degree(h: Poly):
     """Split a monic squarefree polynomial into products of irreducibles of
     equal degree, as (product, degree) pairs, and return them with
-    ``frob``: ``frob(j)`` is the code list of x^(q^j) mod h.
-
-    Step 1 is ``pow_mod``.  Once a second step is due, the rows of the
-    Frobenius map mod h are built from step 1, and every later step is one
-    row combination (:func:`kernel.frobenius`).  Every power is kept, so
-    ``frob`` serves the certificate of each prime found here (see
-    :meth:`MonicIrreducible._certified`), the leftover prime's included."""
+    ``frob = kernel.frobenius_powers(field, h)``: ``frob(j)`` is the code
+    list of x^(q^j) mod h.  It keeps every power, so it also serves the
+    certificate of each prime found here, the leftover prime's included."""
     field = h.field
     t = variable(field)
-    frobs = [list(t.codes)]
-    rows = []
-
-    def frob(j):
-        while len(frobs) <= j:
-            if len(frobs) == 1:
-                frobs.append(list(pow_mod(t, field.q, h).codes))
-                continue
-            if not rows:
-                rows.extend(_k.frobenius_rows(field, frobs[1], h.codes))
-            frobs.append(_k.frobenius(field, rows, frobs[-1]))
-        return frobs[j]
-
+    frob = _k.frobenius_powers(field, h.codes)
     out = []
     rem = h
     d = 0
@@ -321,31 +294,23 @@ def _equal_degree(h: Poly, d: int, rng: random.Random) -> list[Poly]:
 
 @dataclass(frozen=True)
 class MonicIrreducible:
-    """A monic irreducible polynomial, certified at construction.
-
-    ``MonicIrreducible(poly)`` runs the full Rabin test of
-    :func:`is_irreducible`.  The primes that :func:`factor` returns are
-    built by :meth:`_certified` instead, which reads Rabin's criterion from
-    the Frobenius powers the distinct-degree stage already computed."""
+    """A monic irreducible polynomial, certified at construction by
+    Rabin's criterion (:func:`kernel.rabin_holds`).  ``frob(j)``, if
+    given, is the code list of x^(q^j) modulo a multiple of ``poly``, as
+    :func:`factor`'s distinct-degree stage keeps them; otherwise the
+    powers of ``poly`` itself are computed.  ``frob`` is not stored."""
 
     poly: Poly
+    frob: InitVar = None
 
-    def __post_init__(self):
-        if not self.poly.is_monic():
+    def __post_init__(self, frob):
+        poly = self.poly
+        if not poly.is_monic():
             raise ValueError("prime must be monic")
-        if not is_irreducible(self.poly):
+        if frob is None:
+            frob = _k.frobenius_powers(poly.field, poly.codes)
+        if not _k.rabin_holds(poly.field, poly.codes, frob):
             raise ValueError("prime must be irreducible")
-
-    @classmethod
-    def _certified(cls, poly: Poly, frob) -> "MonicIrreducible":
-        """The monic ``poly``, certified by Rabin's criterion on
-        ``frob(j)``, the code list of x^(q^j) modulo a multiple of
-        ``poly``, without the full test that the constructor runs."""
-        if not _k.rabin_holds(poly.field, poly.codes, frob, _gcd_codes):
-            raise ValueError("prime must be irreducible")
-        out = cls.__new__(cls)
-        object.__setattr__(out, "poly", poly)
-        return out
 
     @property
     def deg(self) -> int:
@@ -370,7 +335,7 @@ def factor(f: Poly, seed: int = 0) -> list[tuple[MonicIrreducible, int]]:
         pairs, frob = _distinct_degree(part)
         for prod_, d in pairs:
             for irr in _equal_degree(prod_, d, rng):
-                out.append((MonicIrreducible._certified(irr, frob), mult))
+                out.append((MonicIrreducible(irr, frob), mult))
     out.sort(key=lambda item: item[0].sort_key())
     return out
 

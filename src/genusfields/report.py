@@ -7,11 +7,14 @@ insignificant)::
     field p=<int> f=<int> [mod=<poly in x>] [gen=<const>]
     component gamma=<const> D=<poly in T> m=<int>
 
-Constants are integers 0..p-1 on prime fields and ``g^<k>`` (or ``0``)
-on extension fields, where g is the canonical generator.  Both
-polynomials, ``D`` over F_q and ``mod`` over F_p (integer coefficients
-0..p-1 only), are ``+``-separated monomials ``c*V^e``, ``V^e``, ``V`` or
-``c`` in their variable; like terms are summed and zero terms dropped.
+A constant (``gamma``, ``gen``, a coefficient of ``D``) is ``g``,
+``g^<k>`` or an integer 0..p-1 on every field, where g is the canonical
+generator; :func:`render_const` writes it back as an integer on prime
+fields and as ``0`` or ``g^<k>``, 0 <= k < q - 1, on extension fields.
+Both polynomials, ``D`` over F_q and ``mod`` over F_p (integer
+coefficients 0..p-1 only), are ``+``-separated monomials ``c*V^e``,
+``V^e``, ``V`` or ``c`` in their variable, with e at most
+``_MAX_EXPONENT`` (4096); like terms are summed and zero terms dropped.
 Every integer (``<int>``, ``<k>``, ``e`` and ``c``) is ASCII digits 0-9
 only: no sign, no underscore, no other digits.  The ``field`` line must
 come first and at least one ``component`` must follow.

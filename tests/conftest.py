@@ -1,6 +1,6 @@
 import pytest
 
-from genusfields import Poly, build_field, poly_sort_key
+from genusfields import Poly, build_field, ffield, poly_sort_key
 
 FIELD_KEYS = ((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1))
 
@@ -12,6 +12,19 @@ def field(p, f):
     if key not in _CACHE:
         _CACHE[key] = build_field(p, f)
     return _CACHE[key]
+
+
+def fields_at_table_limit(limit, keys):
+    """The fields of ``keys`` built while ``ffield._TABLE_LIMIT`` is
+    ``limit``, so a limit of 1 forces the untabled arithmetic path."""
+    fields = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "_TABLE_LIMIT", limit)
+        for key in keys:
+            fld = build_field(*key)
+            fld._bind()   # pick the arithmetic path while the limit holds
+            fields[key] = fld
+    return fields
 
 
 @pytest.fixture(scope="session")

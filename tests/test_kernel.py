@@ -2,7 +2,8 @@
 
 Products, division with remainder, gcd and modular powers of ``Poly`` are
 checked against a plain schoolbook reference written with ``FqElem``
-operators, and one Frobenius matrix step against ``pow_mod``, on both
+operators, and one Frobenius matrix step and the powers x^(q^j) of
+``kernel.frobenius_powers`` against chained ``pow_mod``, on both
 arithmetic paths of ``ffield``: the tabled one and the untabled one,
 forced by building the fields with ``_TABLE_LIMIT`` set low.
 The fields cover p = 2 and odd p, f = 1 and f > 1.
@@ -11,25 +12,14 @@ The fields cover p = 2 and odd p, f = 1 and f > 1.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genusfields import Poly, build_field, gcd, pow_mod
+from genusfields import Poly, gcd, pow_mod
 from genusfields import ffield, kernel
 
+from conftest import fields_at_table_limit
+
 KEYS = ((2, 1), (2, 2), (2, 3), (3, 2), (13, 1), (65537, 1))
-
-
-def _fields(limit):
-    fields = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ffield, "_TABLE_LIMIT", limit)
-        for key in KEYS:
-            fld = build_field(*key)
-            fld._bind()   # pick the arithmetic path while the limit holds
-            fields[key] = fld
-    return fields
-
-
-TABLED = _fields(ffield._TABLE_LIMIT)
-UNTABLED = _fields(1)
+TABLED = fields_at_table_limit(ffield._TABLE_LIMIT, KEYS)
+UNTABLED = fields_at_table_limit(1, KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +107,8 @@ def test_kernel_matches_schoolbook(fields, case):
 @settings(max_examples=100, deadline=None)
 @given(case=cases())
 def test_frobenius_step_matches_pow_mod(fields, case):
-    """One row combination of the Frobenius matrix mod h is v^q mod h."""
+    """One row combination of the Frobenius matrix mod h is v^q mod h, and
+    frobenius_powers gives x^(q^j) mod h as j chained pow_mod calls."""
     key, a, b, _ = case
     fld = fields[key]
     H = Poly(fld, [fld.from_index(c) for c in b or [0]] + [fld.one])
@@ -127,6 +118,11 @@ def test_frobenius_step_matches_pow_mod(fields, case):
     assert len(rows) == H.degree()
     assert tuple(kernel.frobenius(fld, rows, V.codes)) == \
         pow_mod(V, fld.q, H).codes
+    frob = kernel.frobenius_powers(fld, H.codes)
+    X = Poly.from_ints(fld, [0, 1]) % H
+    for j in range(H.degree() + 2):
+        assert tuple(frob(j)) == X.codes
+        X = pow_mod(X, fld.q, H)
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,7 +7,8 @@ from genusfields import (MonicIrreducible, Poly, factor, gcd, is_irreducible,
                          poly_sort_key, pow_mod, squarefree_decomposition,
                          valuation, variable)
 
-from conftest import FIELD_KEYS, brute_force_factor, field
+from conftest import (FIELD_KEYS, brute_force_factor, field,
+                      fields_at_table_limit)
 
 P = Poly.from_ints
 
@@ -96,6 +97,10 @@ def test_monic_irreducible_certifies(F5):
         MonicIrreducible(P(F5, [1, 0, 1]))   # reducible
     with pytest.raises(ValueError):
         MonicIrreducible(P(F5, [1, 2]))      # not monic
+    with pytest.raises(ValueError):
+        MonicIrreducible(Poly.one(F5))       # monic constant
+    with pytest.raises(ValueError):
+        MonicIrreducible(P(F5, [3]))         # constant, not monic
     Q = MonicIrreducible(P(F5, [2, 1]))
     assert Q.deg == 1
 
@@ -198,10 +203,47 @@ def test_certificate_refuses_product_of_equal_degree_primes(F5, F4):
         both = primes[0] * primes[1]
         powers = _frobenius_powers(both, 2 * d)
         with pytest.raises(ValueError):
-            MonicIrreducible._certified(both, powers.__getitem__)
+            MonicIrreducible(both, powers.__getitem__)
         # the same powers certify each prime on its own
         for Q in primes:
-            assert MonicIrreducible._certified(Q, powers.__getitem__).poly == Q
+            assert MonicIrreducible(Q, powers.__getitem__).poly == Q
+
+
+def _gauss_count(q, n):
+    """Number of monic irreducibles of degree n over F_q:
+    (1/n) * sum over d | n of mu(d) * q^(n/d)."""
+    def mobius(d):
+        sign, k = 1, 2
+        while d > 1:
+            if d % k == 0:
+                d //= k
+                if d % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return sign
+    return sum(mobius(d) * q ** (n // d)
+               for d in range(1, n + 1) if n % d == 0) // n
+
+
+_GAUSS_CASES = [pytest.param(field(p, f), n, id=f"{p}^{f}-n{n}")
+                for (p, f), top in (((2, 1), 8), ((3, 1), 5), ((2, 2), 4),
+                                    ((5, 1), 4), ((3, 2), 3))
+                for n in range(1, top + 1)]
+_GAUSS_CASES += [pytest.param(fld, n, id=f"{p}^{f}-untabled-n{n}")
+                 for (p, f), fld in
+                 fields_at_table_limit(1, ((2, 2), (2, 3), (3, 2))).items()
+                 for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("fld,n", _GAUSS_CASES)
+def test_is_irreducible_counts_match_gauss(fld, n):
+    """is_irreducible accepts exactly Gauss's count of monics of degree n,
+    on tabled and untabled fields."""
+    accepted = sum(is_irreducible(Poly(fld, [fld.from_index(c) for c in codes]
+                                       + [fld.one]))
+                   for codes in product(range(fld.q), repeat=n))
+    assert accepted == _gauss_count(fld.q, n)
 
 
 def _sparse(fld, d):
