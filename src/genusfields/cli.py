@@ -2,10 +2,13 @@
 
 Subcommands: ``compute`` runs one job, ``compare`` is compute with the
 comparison section forced on, ``selftest`` runs the reduced property
-suites.  Exit codes: 0 success, 2 parse error (including job text, from
+suites.  A report, or the selftest's lines, is written in one step, to
+the ``--output`` file or to standard output, and flushed there, so a
+failed write is an I/O error like any other.  Exit codes: 0 success, 2 parse error (including job text, from
 a file or standard input, that is not valid UTF-8), 3 invalid descriptor,
-4 internal invariant violation, 5 I/O error (job file unreadable or
-output file unwritable), 1 selftest failure.
+4 internal invariant violation (including a prime that fails its
+certificate inside factorization), 5 I/O error (job file unreadable, or
+the output file or standard output unwritable), 1 selftest failure.
 """
 
 from __future__ import annotations
@@ -50,12 +53,31 @@ def _build_parser():
     return parser
 
 
+def _write(text: str, output=None) -> int:
+    """Write ``text`` to the file ``output``, or to standard output when
+    ``output`` is None; 0 on success, else one line on stderr and 5."""
+    try:
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:
+        where = "standard output" if output is None else "output file"
+        print(f"I/O error: cannot write {where}: {exc}", file=sys.stderr)
+        return 5
+    return 0
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "selftest":
         from .selftest import run_selftest
-        return 0 if run_selftest(seed=args.seed) else 1
+        lines = []
+        passed = run_selftest(seed=args.seed, write=lines.append)
+        return _write("\n".join(lines) + "\n") or (0 if passed else 1)
 
     if args.job == "-":
         data = sys.stdin.buffer.read()
@@ -89,14 +111,4 @@ def main(argv=None) -> int:
         return 4
 
     rendered = (report.to_json() if config.fmt == "json" else report.to_text())
-    rendered += "\n"
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            print(f"I/O error: cannot write output file: {exc}", file=sys.stderr)
-            return 5
-    else:
-        sys.stdout.write(rendered)
-    return 0
+    return _write(rendered + "\n", args.output)

@@ -23,7 +23,8 @@ from math import prod
 
 from .ffield import FqField, FqElem
 from .groups import RadicandGroup
-from .kummer import KummerComponent, KummerDescriptor, NormalizedExtension
+from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
+                     radical_row)
 from .polyring import MonicIrreducible, Poly
 
 
@@ -61,14 +62,6 @@ def _sign_dlog(field: FqField) -> int:
     return 0 if field.p == 2 else (field.q - 1) // 2
 
 
-def _radical_vector(M: int, dim: int, e: int, c_dlog: int, position: int):
-    """Vector of the e-th root of c * P, P at the given basis position."""
-    row = [0] * dim
-    row[0] = ((M // e) * c_dlog) % M
-    row[1 + position] = M // e
-    return tuple(row)
-
-
 def clement_genus_field(ext: NormalizedExtension) -> GenusField:
     """The extended genus field: constants of degree n, plus an e_P-th
     root of each ramified prime.  Degenerate extensions give the base
@@ -78,13 +71,13 @@ def clement_genus_field(ext: NormalizedExtension) -> GenusField:
     dim = ext.group.dim
     n = ext.n
 
-    gens = []
-    if n > 1:
-        gens.append(((M // n),) + (0,) * (dim - 1))
+    # the n-th root of g gives the constants of degree n; at n = 1 the row
+    # is zero and spanned_by drops it
+    gens = [radical_row(M, dim, n, 1)]
     radicals = []
     for P, e in ext.ramification:
         radicals.append((e, field.one, P))
-        gens.append(_radical_vector(M, dim, e, 0, ext.basis.index(P)))
+        gens.append(radical_row(M, dim, e, 0, [(ext.basis.index(P), 1)]))
     group = RadicandGroup.spanned_by(M, dim, gens)
     return GenusField(field=field, constant_degree=n,
                       radicals=tuple(radicals), group=group,
@@ -105,10 +98,8 @@ def rarzvi_genus_field(ext: NormalizedExtension) -> GenusField:
     M = ext.group.modulus
     dim = ext.group.dim
     sign = _sign_dlog(field)
-    gens = []
-    for P, e in ext.ramification:
-        gens.append(_radical_vector(M, dim, e, (P.deg * sign) % M,
-                                    ext.basis.index(P)))
+    gens = [radical_row(M, dim, e, P.deg * sign, [(ext.basis.index(P), 1)])
+            for P, e in ext.ramification]
     group = ext.group.join(gens)
     return GenusField(field=field,
                       constant_degree=group.constant_subgroup_order(),
@@ -174,19 +165,16 @@ def signed_closed_form_agrees(ext: NormalizedExtension, ra: GenusField):
     kept_comps = [desc.components[i] for i in ext.kept]
     if not kept_comps or len(kept_comps) != len(ram):
         return None
-    ram_by_poly = {P.poly: e for P, e in ram}
+    ram_by_poly = {P.poly: (P, e) for P, e in ram}
     if {c.D for c in kept_comps} != set(ram_by_poly):
         return None
 
     sign = _sign_dlog(field)
     gens = []
     for comp in kept_comps:
-        e = ram_by_poly[comp.D]
-        P = next(P for P, _ in ram if P.poly == comp.D)
-        eps_dlog = (field.dlog(comp.gamma) + P.deg * sign) % M
-        row = [0] * dim
-        row[0] = ((M // e) * eps_dlog) % M
-        gens.append(tuple(row))
-        gens.append(_radical_vector(M, dim, e, 0, ext.basis.index(P)))
+        P, e = ram_by_poly[comp.D]
+        eps_dlog = field.dlog(comp.gamma) + P.deg * sign
+        gens.append(radical_row(M, dim, e, eps_dlog))
+        gens.append(radical_row(M, dim, e, 0, [(ext.basis.index(P), 1)]))
     closed = RadicandGroup.spanned_by(M, dim, gens)
     return closed.equals(ra.group)

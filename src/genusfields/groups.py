@@ -8,8 +8,11 @@ length d, then L V = (+)_j (a_j Z + M Z) = (+)_j gcd(a_j, M) Z, since U
 and V are unimodular.  So one Smith form of the k generator rows, each
 a_j replaced by gcd(a_j, M) (and gcd(0, M) = M, which keeps the
 divisibility chain), answers every question as lattice arithmetic over
-Z.  Matrices here are tiny (k rows, 1 + number of basis primes columns)
-and Python integers are exact, so no modular shortcuts are needed.
+Z.  That form is prepared once per group, with each column of V reduced
+mod its s_j = gcd(a_j, M): membership reads (v V)_j only mod s_j, and
+the constant line only gcd(s_j, V[0][j]).  V's own entries reach 81 bits
+on 60 jobs of the wide_basis benchmark, where membership's double-index
+loop over V was about 15% of a cold profile.
 
 Pivoting is deterministic: the entry of smallest nonzero absolute
 value, ties broken by row-major position.
@@ -17,9 +20,11 @@ value, ties broken by row-major position.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +117,11 @@ def smith_normal_form(matrix) -> SmithForm:
                      col_transform=tuple(tuple(r) for r in V))
 
 
+# L V = (+)_j s_j Z for the lattice L of a group: ``diag`` holds the s_j
+# and ``columns[j]`` is column j of V reduced mod s_j
+LatticeForm = namedtuple("LatticeForm", "diag columns")
+
+
 # ---------------------------------------------------------------------------
 # subgroups of (Z/M)^d
 
@@ -136,7 +146,7 @@ class RadicandGroup:
                 reduced.append(row)
         return cls(modulus, dim, tuple(dict.fromkeys(reduced)))
 
-    def _form(self) -> SmithForm:
+    def _form(self) -> LatticeForm:
         return _lattice_form(self.modulus, self.dim, self.generators)
 
     def _check_compatible(self, other: "RadicandGroup"):
@@ -146,18 +156,13 @@ class RadicandGroup:
             raise ValueError("modulus or dimension mismatch")
 
     def member(self, vector) -> bool:
-        """Exact membership of a vector: v V must lie in (+)_j s_j Z."""
-        M = self.modulus
-        v = tuple(int(x) % M for x in vector)
+        """Exact membership of a vector: (v V)_j must vanish mod s_j."""
+        v = tuple(int(x) % self.modulus for x in vector)
         if len(v) != self.dim:
             raise ValueError(f"vector has length {len(v)}, expected {self.dim}")
         form = self._form()
-        V = form.col_transform
-        for j in range(self.dim):
-            w = sum(v[i] * V[i][j] for i in range(self.dim))
-            if w % form.diag[j] != 0:
-                return False
-        return True
+        return all(sum(map(mul, v, col)) % s == 0
+                   for s, col in zip(form.diag, form.columns))
 
     def order(self) -> int:
         """Number of elements of the subgroup."""
@@ -178,8 +183,8 @@ class RadicandGroup:
         return all(self.member(g) for g in other.generators)
 
     def equals(self, other: "RadicandGroup") -> bool:
-        """Group equality, i.e. mutual containment."""
-        return self.contains(other) and other.contains(self)
+        """Group equality: containment and equal orders."""
+        return self.contains(other) and self.order() == other.order()
 
     def join(self, extra_generators) -> "RadicandGroup":
         """The subgroup generated by this one and further vectors."""
@@ -195,18 +200,25 @@ class RadicandGroup:
         Kummer field of the group has constants F_(q^d).
         """
         form = self._form()
-        row = form.col_transform[0]
-        return self.modulus // lcm(*(s // gcd(s, v)
-                                     for s, v in zip(form.diag, row)))
+        return self.modulus // lcm(*(s // gcd(s, col[0])
+                                     for s, col in zip(form.diag, form.columns)))
+
+    def image_order(self, weights) -> int:
+        """Order of the image under v -> v . weights mod M, that is
+        M / gcd(M, g . weights) over the generators g."""
+        M = self.modulus
+        return M // gcd(M, *(sum(map(mul, g, weights)) for g in self.generators))
 
 
 @lru_cache(maxsize=4096)
-def _lattice_form(modulus, dim, generators) -> SmithForm:
-    """Smith form of rowspace(generators) + modulus * Z^dim, from the
-    generator rows alone (see the module docstring)."""
+def _lattice_form(modulus, dim, generators) -> LatticeForm:
+    """The prepared form of rowspace(generators) + modulus * Z^dim, from
+    one Smith form of the generator rows alone (see the module docstring)."""
     form = smith_normal_form([list(g) for g in generators] or [[0] * dim])
-    diag = form.diag + (0,) * (dim - len(form.diag))
-    return SmithForm(tuple(gcd(a, modulus) for a in diag), form.col_transform)
+    diag = tuple(gcd(a, modulus)
+                 for a in form.diag + (0,) * (dim - len(form.diag)))
+    return LatticeForm(diag, tuple(tuple(x % s for x in col) for s, col
+                                   in zip(diag, zip(*form.col_transform))))
 
 
 def enumerate_subgroup(group: RadicandGroup, limit: int = 1 << 16) -> frozenset:

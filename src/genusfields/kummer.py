@@ -4,18 +4,21 @@ A descriptor lists components (gamma, D, m): gamma a nonzero constant,
 D a monic polynomial, m a divisor of q - 1, one component per adjoined
 m-th root of gamma * D.  `normalize` rewrites each component as a
 plain integer row modulo M = q - 1 over ``ext.basis``, the sorted tuple
-of the primes dividing any D: entry 0 carries the discrete log of the
-constant part, entry 1 + j the valuation at ``ext.basis[j]``, and the
-whole row is (M / m) times that data, the class of (gamma * D)^(M/m).
-``ext.rows`` holds one such row per component.  The subgroup the rows
-span decides the degree, the Galois structure and every containment
-question for the extension.
+of the primes dividing any D.  :func:`radical_row` is the one builder of
+that row format, here and in :mod:`genus`: entry 0 carries the discrete
+log of the constant part, entry 1 + j the valuation at ``ext.basis[j]``,
+and the whole row is (M / m) times that data, the class of
+(gamma * D)^(M/m).  ``ext.rows`` holds one such row per component.  The
+subgroup the rows span decides the degree, the Galois structure and
+every containment question for the extension.
 
-Ramification at a finite prime is tame here (m | q - 1) and is read off
-the rows once per extension, into ``ext.ramification``.  An oracle
-recomputes it componentwise over the basis that `normalize` built, with
-its own valuations.  The valuation of a radicand at the infinite place
-is -deg(D), which yields the reported index over 1/T.
+Ramification at a finite prime is tame here (m | q - 1), so its index is
+the order of the group's image under the projection to that prime's
+coordinate (`RadicandGroup.image_order`), read once per extension into
+``ext.ramification``.  An oracle recomputes it componentwise over the
+basis that `normalize` built, with its own valuations.  The valuation of
+a radicand at the infinite place is -deg(D), so the index over 1/T is
+the order of the image under the weights -deg P.
 """
 
 from __future__ import annotations
@@ -90,6 +93,16 @@ class NormalizedExtension:
         return ramification_indices(self)
 
 
+def radical_row(M: int, dim: int, m: int, c_dlog: int, exponents=()):
+    """Row of the m-th root of c * prod_j P_j^(a_j): (M / m) * (dlog c, a_0,
+    a_1, ...) mod M, of length dim; ``exponents`` holds (j, a_j) pairs."""
+    scale = M // m
+    row = [scale * c_dlog % M] + [0] * (dim - 1)
+    for j, a in exponents:
+        row[1 + j] = scale * a % M
+    return tuple(row)
+
+
 def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
     """Factor the radicands, build the vector model and span the group.
 
@@ -109,29 +122,25 @@ def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
     primes = {P.sort_key(): P for fac in factored.values() for P, _ in fac}
     basis = tuple(primes[k] for k in sorted(primes))
 
-    rows = []
-    for comp in desc.components:
-        scale = M // comp.m
-        row = [(scale * field.dlog(comp.gamma)) % M] + [0] * len(basis)
-        for P, a in factored.get(comp.D, ()):
-            row[1 + basis.index(P)] = (scale * a) % M
-        rows.append(tuple(row))
-
+    dim = 1 + len(basis)
+    rows = tuple(
+        radical_row(M, dim, comp.m, field.dlog(comp.gamma),
+                    [(basis.index(P), a) for P, a in factored.get(comp.D, ())])
+        for comp in desc.components)
     kept = tuple(i for i, row in enumerate(rows) if any(row))
-    group = RadicandGroup.spanned_by(M, 1 + len(basis), [rows[i] for i in kept])
+    group = RadicandGroup.spanned_by(M, dim, [rows[i] for i in kept])
     return NormalizedExtension(
-        descriptor=desc, basis=basis, rows=tuple(rows), kept=kept,
+        descriptor=desc, basis=basis, rows=rows, kept=kept,
         group=group, n=group.exponent(), degenerate=not kept)
 
 
 def ramification_indices(ext: NormalizedExtension) -> tuple:
     """(P, e_P) pairs in basis order, e_P the order of the group's image
     under projection to the P-coordinate; primes with e_P = 1 are omitted."""
-    M = ext.group.modulus
+    dim = ext.group.dim
     entries = []
     for j, P in enumerate(ext.basis):
-        coords = [ext.rows[i][1 + j] for i in ext.kept]
-        e = M // gcd(M, *coords) if coords else 1
+        e = ext.group.image_order([int(i == 1 + j) for i in range(dim)])
         if e > 1:
             entries.append((P, e))
     return tuple(entries)
@@ -162,13 +171,7 @@ def infinite_ramification(ext: NormalizedExtension) -> int:
     image of the group under v -> -sum_P deg(P) * v_P determines the
     index, exactly as the finite projections do.
     """
-    M = ext.group.modulus
-    images = []
-    for i in ext.kept:
-        row = ext.rows[i]
-        img = -sum(P.deg * row[1 + j] for j, P in enumerate(ext.basis))
-        images.append(img % M)
-    return M // gcd(M, *images) if images else 1
+    return ext.group.image_order([0] + [-P.deg for P in ext.basis])
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ import random
 from dataclasses import InitVar, dataclass
 
 from . import kernel as _k
+from .errors import InternalCheckError
 from .ffield import FqField, FqElem, element_sort_key
 
 
@@ -326,7 +327,8 @@ class MonicIrreducible:
 def factor(f: Poly, seed: int = 0) -> list[tuple[MonicIrreducible, int]]:
     """Factor f = lc(f) * prod P_i^(a_i) into distinct monic irreducibles,
     sorted canonically.  The same seed reproduces the identical run; any
-    seed yields the same sorted factor list."""
+    seed yields the same sorted factor list.  A factor that fails its
+    prime certificate raises :class:`InternalCheckError`."""
     if f.is_zero() or f.degree() < 1:
         raise ValueError("cannot factor a constant or zero polynomial")
     rng = random.Random(seed)
@@ -335,7 +337,12 @@ def factor(f: Poly, seed: int = 0) -> list[tuple[MonicIrreducible, int]]:
         pairs, frob = _distinct_degree(part)
         for prod_, d in pairs:
             for irr in _equal_degree(prod_, d, rng):
-                out.append((MonicIrreducible(irr, frob), mult))
+                try:
+                    out.append((MonicIrreducible(irr, frob), mult))
+                except ValueError as exc:
+                    raise InternalCheckError(
+                        f"prime certificate failed for factor {irr!r} "
+                        f"of {f!r}: {exc}") from exc
     out.sort(key=lambda item: item[0].sort_key())
     return out
 

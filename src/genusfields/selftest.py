@@ -125,7 +125,7 @@ def check_factor_refactors(rng, count=80, keys=FIELD_POOL, max_deg=8):
         f = random_monic(field, rng, max_deg - 1) * linear
         try:
             found = factor(f, seed=rng.randrange(1 << 30))
-        except ValueError:   # a factor that fails its own irreducibility check
+        except InternalCheckError:   # a factor that fails its prime certificate
             return False
         product = Poly.one(field)
         for P, mult in found:

@@ -156,6 +156,11 @@ def test_engine_against_enumeration():
         for _ in range(8):
             v = tuple(rng.randrange(G.modulus) for _ in range(G.dim))
             assert G.member(v) == (v in elems)
+        # entries >= M and negative ones are read mod M
+        for _ in range(8):
+            v = tuple(rng.randrange(G.modulus) for _ in range(G.dim))
+            shifted = tuple(x + G.modulus * rng.randint(-3, 3) for x in v)
+            assert G.member(shifted) == (v in elems)
 
 
 def test_contains_against_enumeration():
@@ -198,6 +203,22 @@ def test_join_spans_union():
         joined = G.join(extra)
         assert joined.contains(G)
         assert joined.member(extra[0])
+
+
+def test_image_order_against_enumeration():
+    # the order of the image under v -> v . w mod M, for unit and
+    # random weights, against the distinct images of every element
+    rng = random.Random(18)
+    for _ in range(120):
+        G = random_group(rng)
+        elems = enumerate_subgroup(G)
+        M = G.modulus
+        weights = [[int(i == j) for i in range(G.dim)] for j in range(G.dim)]
+        weights += [[rng.randint(-2 * M, 2 * M) for _ in range(G.dim)]
+                    for _ in range(4)]
+        for w in weights:
+            images = {sum(a * b for a, b in zip(v, w)) % M for v in elems}
+            assert G.image_order(w) == len(images)
 
 
 def test_constant_subgroup_order_against_enumeration():

@@ -89,6 +89,16 @@ def test_infinite_ramification_examples(F5):
     assert infinite_ramification(ext) == 1
 
 
+def test_infinite_ramification_oracle_random():
+    # v_inf(gamma * D) = -deg D, and tame inertia has lcm order
+    rng = random.Random(24)
+    for _ in range(400):
+        desc = random_descriptor(rng)
+        expected = lcm(1, *(c.m // gcd(c.m, c.D.degree())
+                            for c in desc.components))
+        assert infinite_ramification(normalize(desc)) == expected
+
+
 def test_oracle_equivalence_random():
     rng = random.Random(20)
     for _ in range(150):

@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
-from genusfields import (MonicIrreducible, Poly, factor, gcd, is_irreducible,
-                         poly_sort_key, pow_mod, squarefree_decomposition,
-                         valuation, variable)
+from genusfields import (InternalCheckError, MonicIrreducible, Poly, factor,
+                         gcd, is_irreducible, poly_sort_key, pow_mod,
+                         squarefree_decomposition, valuation, variable)
+from genusfields import kernel
 
 from conftest import (FIELD_KEYS, brute_force_factor, field,
                       fields_at_table_limit)
@@ -103,6 +104,16 @@ def test_monic_irreducible_certifies(F5):
         MonicIrreducible(P(F5, [3]))         # constant, not monic
     Q = MonicIrreducible(P(F5, [2, 1]))
     assert Q.deg == 1
+
+
+def test_failed_certificate_in_factor_is_internal(F5, monkeypatch):
+    # a prime that factor found but cannot certify is factor's own fault;
+    # the public constructor still refuses reducible input by ValueError
+    monkeypatch.setattr(kernel, "rabin_holds", lambda *args: False)
+    with pytest.raises(InternalCheckError, match="prime certificate failed"):
+        factor(P(F5, [0, 1]))
+    with pytest.raises(ValueError):
+        MonicIrreducible(P(F5, [0, 1]))
 
 
 def test_valuation_examples(F5):

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import random
 
 import pytest
@@ -405,6 +408,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     job.write_text(JOB, encoding="utf-8")
     assert main(["compute", str(job)]) == 4
     capsys.readouterr()
+    # a prime that fails its certificate inside factor
+    monkeypatch.undo()
+    import genusfields.kernel as kernel_mod
+    monkeypatch.setattr(kernel_mod, "rabin_holds", lambda *args: False)
+    assert main(["compute", str(job)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal invariant violation: prime certificate failed for factor")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_selftest(capsys, monkeypatch):
@@ -434,10 +447,45 @@ def test_cli_output_to_missing_directory(tmp_path, capsys):
     assert captured.err.startswith("I/O error: cannot write output file:")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not dest.parent.exists()
+    # an empty path is a path that cannot be opened, not standard output
+    assert main(["compute", "--output", "", str(job)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("I/O error: cannot write output file:")
+    assert captured.err.count("\n") == 1
+
+
+class _FullStdout(io.StringIO):
+    """A standard output on a full device: ``fail`` names the method that
+    raises ENOSPC, ``write`` or ``flush``."""
+
+    def __init__(self, fail):
+        super().__init__()
+        self.fail = fail
+
+    def write(self, text):
+        if self.fail == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.fail == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fail", ["write", "flush"])
+def test_cli_stdout_unwritable(tmp_path, capsys, monkeypatch, fail):
+    job = tmp_path / "job.txt"
+    job.write_text(JOB, encoding="utf-8")
+    for argv in (["compare", "--format", "json", str(job)], ["selftest"]):
+        monkeypatch.setattr("sys.stdout", _FullStdout(fail))
+        assert main(argv) == 5
+        assert capsys.readouterr().err == (
+            f"I/O error: cannot write standard output: [Errno 28] "
+            f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def _stdin(data: bytes):
-    import io
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
