@@ -13,8 +13,7 @@ from .ffield import DEFAULT_MAX_Q, FqElem, FqField, build_field, element_sort_ke
 from .genus import (ComparisonReport, GenusField, as_descriptor,
                     clement_genus_field, compare, rarzvi_genus_field,
                     signed_closed_form_agrees, verify_degree_formula)
-from .groups import (RadicandGroup, SmithForm, enumerate_subgroup,
-                     smith_normal_form)
+from .groups import RadicandGroup, enumerate_subgroup, smith_normal_form
 from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
                      embed_group, infinite_ramification, normalize,
                      ramification_indices, ramification_lcm_oracle)
@@ -31,7 +30,6 @@ __all__ = [
     "InternalCheckError", "InvalidDescriptorError", "JobConfig",
     "KummerComponent", "KummerDescriptor", "MonicIrreducible",
     "NormalizedExtension", "ParseError", "Poly", "RadicandGroup", "Report",
-    "SmithForm",
     "as_descriptor", "build_field", "clement_genus_field", "compare",
     "element_sort_key", "embed_group", "enumerate_subgroup", "factor", "gcd",
     "infinite_ramification", "is_irreducible", "normalize", "parse_input",

@@ -2,18 +2,23 @@
 
 Subcommands: ``compute`` runs one job, ``compare`` is compute with the
 comparison section forced on, ``selftest`` runs the reduced property
-suites.  A report, or the selftest's lines, is written in one step, to
-the ``--output`` file or to standard output, and flushed there, so a
-failed write is an I/O error like any other.  Exit codes: 0 success, 2 parse error (including job text, from
-a file or standard input, that is not valid UTF-8), 3 invalid descriptor,
-4 internal invariant violation (including a prime that fails its
-certificate inside factorization), 5 I/O error (job file unreadable, or
-the output file or standard output unwritable), 1 selftest failure.
+suites.  The job text is read in one step, from the job file or from
+standard input, and a report, or the selftest's lines, is written in
+one step, to the ``--output`` file or to standard output, and flushed
+there, so a failed read or write is an I/O error like any other.  Exit
+codes: 0 success, 2 parse error (including job text, from a file or
+standard input, that is not valid UTF-8), 3 invalid descriptor, 4
+internal invariant violation (including a prime that fails its
+certificate inside factorization), 5 I/O error (job file or standard
+input unreadable, or the output file or standard output unwritable),
+1 selftest failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 
@@ -70,6 +75,22 @@ def _write(text: str, output=None) -> int:
     return 0
 
 
+def _read(job: str):
+    """The bytes of the file ``job``, or of standard input when ``job`` is
+    "-"; None after one line on stderr when they cannot be read."""
+    try:
+        if job == "-":
+            if sys.stdin is None:   # file descriptor 0 was closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            return sys.stdin.buffer.read()
+        with open(job, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        where = "standard input" if job == "-" else "job file"
+        print(f"I/O error: cannot read {where}: {exc}", file=sys.stderr)
+        return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -79,15 +100,9 @@ def main(argv=None) -> int:
         passed = run_selftest(seed=args.seed, write=lines.append)
         return _write("\n".join(lines) + "\n") or (0 if passed else 1)
 
-    if args.job == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        try:
-            with open(args.job, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            print(f"I/O error: cannot read job file: {exc}", file=sys.stderr)
-            return 5
+    data = _read(args.job)
+    if data is None:
+        return 5
 
     try:
         config = parse_input(data.decode("utf-8"), strict=args.strict)

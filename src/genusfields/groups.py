@@ -1,18 +1,18 @@
 """Finitely generated subgroups of (Z/M)^d, answered exactly.
 
-Membership, order, containment and invariant factors are all reduced to
-integer Smith normal form.  A subgroup given by generator rows A is the
-image of the lattice L = rowspace(A) + M * Z^d.  If A V = U^-1 diag(a)
-is the Smith form of the generator rows alone, a padded with zeros to
-length d, then L V = (+)_j (a_j Z + M Z) = (+)_j gcd(a_j, M) Z, since U
-and V are unimodular.  So one Smith form of the k generator rows, each
-a_j replaced by gcd(a_j, M) (and gcd(0, M) = M, which keeps the
-divisibility chain), answers every question as lattice arithmetic over
-Z.  That form is prepared once per group, with each column of V reduced
-mod its s_j = gcd(a_j, M): membership reads (v V)_j only mod s_j, and
-the constant line only gcd(s_j, V[0][j]).  V's own entries reach 81 bits
-on 60 jobs of the wide_basis benchmark, where membership's double-index
-loop over V was about 15% of a cold profile.
+A subgroup spanned by generator rows A is the image of the lattice
+L = rowspace(A) + M * Z^d, and membership, order, containment,
+invariant factors and the constant line are all lattice arithmetic over
+Z on one form of L.  :func:`smith_normal_form` builds it: integer
+elimination on the rows of A stacked over I_d gives A V = U^-1 diag(a),
+with U and V unimodular, V the last d rows of the stack and a padded
+with zeros to length d.  So L V = (+)_j (a_j Z + M Z) = (+)_j s_j Z with
+s_j = gcd(a_j, M), where gcd(0, M) = M keeps the chain
+s_1 | s_2 | ... | M.  The form keeps the s_j and each column of V
+reduced mod its s_j.  That is exact: membership reads (v V)_j only mod
+s_j, and the constant line only gcd(s_j, V[0][j]).  V's own entries
+reach 81 bits on 60 jobs of the wide_basis benchmark.  Each group's form
+is built once and cached.
 
 Pivoting is deterministic: the entry of smallest nonzero absolute
 value, ties broken by row-major position.
@@ -28,19 +28,11 @@ from operator import mul
 
 
 # ---------------------------------------------------------------------------
-# integer matrices
+# the lattice form
 
-@dataclass(frozen=True)
-class SmithForm:
-    """A V = U^-1 S with U, V unimodular and S diagonal, d_1 | d_2 | ...
-
-    ``diag`` holds the min(m, n) diagonal entries of S (nonnegative,
-    trailing zeros when the rank is deficient) and ``col_transform`` is
-    V; U is not kept.
-    """
-
-    diag: tuple[int, ...]
-    col_transform: tuple[tuple[int, ...], ...]
+# L V = (+)_j s_j Z for the lattice L of a group: ``diag`` holds the s_j
+# and ``columns[j]`` is column j of V reduced mod s_j
+LatticeForm = namedtuple("LatticeForm", "diag columns")
 
 
 def _find_pivot(S, t, m, n):
@@ -55,14 +47,18 @@ def _find_pivot(S, t, m, n):
     return where
 
 
-def smith_normal_form(matrix) -> SmithForm:
-    """Smith normal form of an integer matrix, with its column transform."""
+def smith_normal_form(matrix, modulus) -> LatticeForm:
+    """The form of L = rowspace(matrix) + modulus * Z^n (see the module
+    docstring).  The elimination runs on the m matrix rows stacked over
+    I_n, so every column operation also builds V, the last n rows."""
     S = [list(map(int, row)) for row in matrix]
     m = len(S)
     n = len(S[0]) if m else 0
     if any(len(row) != n for row in S):
         raise ValueError("matrix rows must have equal length")
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    S += [[int(i == j) for j in range(n)] for i in range(n)]
 
     def add_row(dst, src, mult):
         S[dst] = [a + mult * b for a, b in zip(S[dst], S[src])]
@@ -70,14 +66,10 @@ def smith_normal_form(matrix) -> SmithForm:
     def add_col(dst, src, mult):
         for row in S:
             row[dst] += mult * row[src]
-        for row in V:
-            row[dst] += mult * row[src]
 
     def swap_cols(i, j):
         if i != j:
             for row in S:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
                 row[i], row[j] = row[j], row[i]
 
     for t in range(min(m, n)):
@@ -113,13 +105,9 @@ def smith_normal_form(matrix) -> SmithForm:
         if S[t][t] < 0:
             S[t] = [-x for x in S[t]]
 
-    return SmithForm(diag=tuple(S[i][i] for i in range(min(m, n))),
-                     col_transform=tuple(tuple(r) for r in V))
-
-
-# L V = (+)_j s_j Z for the lattice L of a group: ``diag`` holds the s_j
-# and ``columns[j]`` is column j of V reduced mod s_j
-LatticeForm = namedtuple("LatticeForm", "diag columns")
+    diag = tuple(gcd(S[i][i] if i < m else 0, modulus) for i in range(n))
+    return LatticeForm(diag, tuple(tuple(x % s for x in col)
+                                   for s, col in zip(diag, zip(*S[m:]))))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +200,8 @@ class RadicandGroup:
 
 @lru_cache(maxsize=4096)
 def _lattice_form(modulus, dim, generators) -> LatticeForm:
-    """The prepared form of rowspace(generators) + modulus * Z^dim, from
-    one Smith form of the generator rows alone (see the module docstring)."""
-    form = smith_normal_form([list(g) for g in generators] or [[0] * dim])
-    diag = tuple(gcd(a, modulus)
-                 for a in form.diag + (0,) * (dim - len(form.diag)))
-    return LatticeForm(diag, tuple(tuple(x % s for x in col) for s, col
-                                   in zip(diag, zip(*form.col_transform))))
+    """The form of rowspace(generators) + modulus * Z^dim."""
+    return smith_normal_form(generators or [(0,) * dim], modulus)
 
 
 def enumerate_subgroup(group: RadicandGroup, limit: int = 1 << 16) -> frozenset:

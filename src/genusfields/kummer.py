@@ -119,7 +119,7 @@ def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
     for comp in desc.components:
         if comp.D.degree() > 0 and comp.D not in factored:
             factored[comp.D] = factor(comp.D, seed)
-    primes = {P.sort_key(): P for fac in factored.values() for P, _ in fac}
+    primes = {P.sort_key: P for fac in factored.values() for P, _ in fac}
     basis = tuple(primes[k] for k in sorted(primes))
 
     dim = 1 + len(basis)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 from . import kernel as _k
 from .errors import InternalCheckError
@@ -317,7 +318,9 @@ class MonicIrreducible:
     def deg(self) -> int:
         return self.poly.degree()
 
+    @cached_property
     def sort_key(self):
+        """Canonical order key, computed once per prime."""
         return poly_sort_key(self.poly)
 
     def __repr__(self):
@@ -343,7 +346,7 @@ def factor(f: Poly, seed: int = 0) -> list[tuple[MonicIrreducible, int]]:
                     raise InternalCheckError(
                         f"prime certificate failed for factor {irr!r} "
                         f"of {f!r}: {exc}") from exc
-    out.sort(key=lambda item: item[0].sort_key())
+    out.sort(key=lambda item: item[0].sort_key)
     return out
 
 

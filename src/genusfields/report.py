@@ -293,7 +293,8 @@ def parse_input(text: str, strict: bool = False) -> JobConfig:
 
 
 def render_job(config: JobConfig) -> str:
-    """Canonical job text; reparsing it reproduces field and components."""
+    """Canonical job text of a job or a descriptor (anything with ``field``
+    and ``components``); reparsing it reproduces field and components."""
     field = config.field
     default = build_field(field.p, field.f)
     parts = [f"field p={field.p} f={field.f}"]
@@ -395,22 +396,27 @@ def _genus_payload(field, gf: GenusField, with_radicals: bool) -> dict:
 
 
 def _audit(ext, cl, ra, rep):
-    """Every cross-check of a job; ``rep`` is ``compare(ext, cl, ra)``."""
+    """Every cross-check of a job; ``rep`` is ``compare(ext, cl, ra)``.
+    A failure names the invariant and the job, on one line."""
+    def fail(invariant):
+        job = "; ".join(render_job(ext.descriptor).splitlines())
+        raise InternalCheckError(f"{invariant} in job: {job}")
+
     if not verify_degree_formula(cl, ext):
-        raise InternalCheckError("degree formula violated")
+        fail("degree formula violated")
     if not rep.k_in_rarzvi:
-        raise InternalCheckError("containment chain violated: K not in rarzvi")
+        fail("containment chain violated: K not in rarzvi")
     if not rep.rarzvi_in_clement:
-        raise InternalCheckError("containment chain violated: rarzvi not in clement")
+        fail("containment chain violated: rarzvi not in clement")
     if rep.index_rarzvi_in_clement * rep.degree_rarzvi != rep.degree_clement:
-        raise InternalCheckError("comparison index is not the degree ratio")
+        fail("comparison index is not the degree ratio")
     if cl.group.constant_subgroup_order() != ext.n:
-        raise InternalCheckError("constant field of the genus field is not F_(q^n)")
+        fail("constant field of the genus field is not F_(q^n)")
     if ext.ramification != ramification_lcm_oracle(ext):
-        raise InternalCheckError("ramification formulas disagree")
+        fail("ramification formulas disagree")
     for gf in (cl, ra):
         if prod(gf.galois) != gf.degree:
-            raise InternalCheckError("galois structure inconsistent with degree")
+            fail("galois structure inconsistent with degree")
 
 
 def run(config: JobConfig) -> Report:

@@ -36,11 +36,6 @@ def determinant(matrix) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def matmul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
-            for row in A]
-
-
 def minors_gcd(A, k) -> int:
     """gcd of all k x k minors of A."""
     rows, cols = range(len(A)), range(len(A[0]))
@@ -49,35 +44,36 @@ def minors_gcd(A, k) -> int:
 
 
 def test_snf_examples():
-    assert smith_normal_form([[2, 0], [0, 2]]).diag == (2, 2)
-    assert smith_normal_form([[4, 2], [0, 4]]).diag == (2, 8)
-    assert smith_normal_form([[0, 0], [0, 0]]).diag == (0, 0)
+    assert smith_normal_form([[2, 0], [0, 2]], 4).diag == (2, 2)
+    assert smith_normal_form([[4, 2], [0, 4]], 16).diag == (2, 8)
+    assert smith_normal_form([[0, 0], [0, 0]], 6).diag == (6, 6)
+    with pytest.raises(ValueError):
+        smith_normal_form([[0, 0], [0, 0]], 0)
 
 
 def test_snf_transform_properties():
+    # the form of L = rowspace(A) + M * Z^n: s_1 | ... | s_n | M, the s_j
+    # are the invariant factors of L, and L V lies in (+)_j s_j Z
     rng = random.Random(11)
     for _ in range(120):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         A = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        form = smith_normal_form(A)
-        assert abs(determinant(form.col_transform)) == 1
-        diag = [d for d in form.diag if d]
-        for a, b in zip(diag, diag[1:]):
+        M = rng.choice([1, 12, 60, 360, 5040, rng.randint(2, 400)])
+        form = smith_normal_form(A, M)
+        diag = form.diag
+        assert len(diag) == len(form.columns) == n
+        for a, b in zip(diag, diag[1:] + (M,)):
             assert b % a == 0
-        assert all(d == 0 for d in form.diag[len(diag):])
-        # A V = U^-1 S: column j of A V is a multiple of d_j, zero past the rank
-        AV = matmul(A, [list(r) for r in form.col_transform])
-        for j in range(n):
-            col = [row[j] for row in AV]
-            if j < len(diag):
-                assert all(x % diag[j] == 0 for x in col)
-            else:
-                assert not any(col)
-        # d_1 ... d_k is the gcd of the k x k minors (determinantal divisors)
-        for k in range(1, len(diag) + 1):
-            assert prod(diag[:k]) == minors_gcd(A, k)
-        assert len(diag) == min(m, n) or minors_gcd(A, len(diag) + 1) == 0
+        # s_1 ... s_k is the gcd of the k x k minors of [A; M * I_n]
+        stacked = A + [[M * (i == j) for j in range(n)] for i in range(n)]
+        for k in range(1, n + 1):
+            assert prod(diag[:k]) == minors_gcd(stacked, k)
+        # every row of the stack maps to 0 mod s_j under column j of V
+        for row in stacked:
+            for s, col in zip(diag, form.columns):
+                assert len(col) == n and all(0 <= x < s for x in col)
+                assert sum(a * x for a, x in zip(row, col)) % s == 0
 
 
 def test_lattice_form_matches_stacked_lattice():
@@ -91,7 +87,7 @@ def test_lattice_form_matches_stacked_lattice():
         gens = tuple(tuple(rng.randrange(M) for _ in range(d)) for _ in range(k))
         stacked = [list(g) for g in gens] + [
             [M * (i == j) for j in range(d)] for i in range(d)]
-        assert _lattice_form(M, d, gens).diag == smith_normal_form(stacked).diag
+        assert _lattice_form(M, d, gens).diag == smith_normal_form(stacked, M).diag
 
 
 def test_member_examples():

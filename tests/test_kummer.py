@@ -177,3 +177,16 @@ def test_perfect_power_component_is_trivial(F13):
     assert ext.dropped == (1,)
     assert ram_list(ramification_indices(ext)) == [("T", 4)]
     assert ramification_lcm_oracle(ext) == ramification_indices(ext)
+
+
+def test_normalize_computes_each_sort_key_once(F7, monkeypatch):
+    import genusfields.polyring as polyring_mod
+    calls = []
+    real = polyring_mod.poly_sort_key
+    monkeypatch.setattr(polyring_mod, "poly_sort_key",
+                        lambda poly: calls.append(poly) or real(poly))
+    # T(T+1)(T+2), T^2(T+3), and T(T+1)(T+2) again, which is factored once
+    D1, D2 = [0, 2, 3, 1], [0, 0, 3, 1]
+    normalize(KummerDescriptor(F7, (comp(F7, 1, D1, 2), comp(F7, 3, D2, 3),
+                                    comp(F7, 2, D1, 6))))
+    assert len(calls) == 3 + 2   # one per (radicand, prime) pair

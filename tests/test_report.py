@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -6,9 +7,10 @@ import random
 
 import pytest
 
+import genusfields.report as report_mod
 from genusfields import (InternalCheckError, InvalidDescriptorError, JobConfig,
-                         KummerComponent, ParseError, Poly, parse_input,
-                         render_job, render_poly, run)
+                         KummerComponent, ParseError, Poly, RadicandGroup,
+                         parse_input, render_job, render_poly, run)
 from genusfields.cli import main
 from genusfields.selftest import random_descriptor
 
@@ -332,6 +334,55 @@ def test_audit_failure_raises(F5, monkeypatch):
         run(_config(F5, [KummerComponent(F5.one, P(F5, [0, 1]), 2)]))
 
 
+def _compare_with(**changes):
+    def patch(monkeypatch):
+        real = report_mod.compare
+        monkeypatch.setattr(report_mod, "compare", lambda *args: dataclasses.replace(
+            real(*args), **changes))
+    return patch
+
+
+def _extra_factor(monkeypatch):
+    real = RadicandGroup.invariant_factors
+    monkeypatch.setattr(RadicandGroup, "invariant_factors",
+                        lambda self: real(self) + (2,))
+
+
+# each audit invariant, and a patch of what its check reads that breaks it
+AUDIT_FAILURES = [
+    ("degree formula violated", lambda mp: mp.setattr(
+        report_mod, "verify_degree_formula", lambda gf, ext: False)),
+    ("containment chain violated: K not in rarzvi",
+     _compare_with(k_in_rarzvi=False)),
+    ("containment chain violated: rarzvi not in clement",
+     _compare_with(rarzvi_in_clement=False)),
+    ("comparison index is not the degree ratio",
+     _compare_with(index_rarzvi_in_clement=0)),
+    ("constant field of the genus field is not F_(q^n)", lambda mp: mp.setattr(
+        RadicandGroup, "constant_subgroup_order", lambda self: 0)),
+    ("ramification formulas disagree", lambda mp: mp.setattr(
+        report_mod, "ramification_lcm_oracle", lambda ext: ())),
+    ("galois structure inconsistent with degree", _extra_factor),
+]
+
+
+@pytest.mark.parametrize("invariant, patch", AUDIT_FAILURES,
+                         ids=[name for name, _ in AUDIT_FAILURES])
+def test_audit_failure_names_invariant_and_job(tmp_path, capsys, monkeypatch,
+                                               invariant, patch):
+    patch(monkeypatch)
+    with pytest.raises(InternalCheckError) as info:
+        run(parse_input(JOB))
+    assert str(info.value) == (
+        f"{invariant} in job: field p=5 f=1; component gamma=4 D=T m=2")
+    job = tmp_path / "job.txt"
+    job.write_text(JOB, encoding="utf-8")
+    assert main(["compute", str(job)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal invariant violation: {info.value}\n"
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -493,6 +544,18 @@ def test_cli_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", _stdin(JOB.encode("utf-8")))
     assert main(["compute", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["extension"]["degree"] == 2
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "write_only"])
+def test_cli_stdin_unreadable(tmp_path, capsys, monkeypatch, closed):
+    # descriptor 0 closed leaves sys.stdin None; opened write-only, reads fail
+    with open(os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT), "r") as stdin:
+        monkeypatch.setattr("sys.stdin", None if closed else stdin)
+        assert main(["compute"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"I/O error: cannot read standard input: "
+                            f"[Errno 9] {os.strerror(errno.EBADF)}\n")
 
 
 def test_cli_job_text_not_utf8(tmp_path, capsys, monkeypatch):
