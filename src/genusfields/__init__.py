@@ -9,7 +9,7 @@ same pipeline from job text, as does the ``genusfields`` CLI.
 """
 
 from .errors import InternalCheckError, InvalidDescriptorError, ParseError
-from .ffield import DEFAULT_MAX_Q, FqElem, FqField, build_field, element_sort_key
+from .ffield import FqElem, FqField, build_field, element_sort_key
 from .genus import (ComparisonReport, GenusField, as_descriptor,
                     clement_genus_field, compare, rarzvi_genus_field,
                     signed_closed_form_agrees, verify_degree_formula)
@@ -26,7 +26,7 @@ from .report import (JobConfig, Report, parse_input, render_const, render_poly,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MAX_Q", "ComparisonReport", "FqElem", "FqField", "GenusField",
+    "ComparisonReport", "FqElem", "FqField", "GenusField",
     "InternalCheckError", "InvalidDescriptorError", "JobConfig",
     "KummerComponent", "KummerDescriptor", "MonicIrreducible",
     "NormalizedExtension", "ParseError", "Poly", "RadicandGroup", "Report",

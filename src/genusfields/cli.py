@@ -5,8 +5,10 @@ comparison section forced on, ``selftest`` runs the reduced property
 suites.  The job text is read in one step, from the job file or from
 standard input, and a report, or the selftest's lines, is written in
 one step, to the ``--output`` file or to standard output, and flushed
-there, so a failed read or write is an I/O error like any other.  Exit
-codes: 0 success, 2 parse error (including job text, from a file or
+there, so a failed read or write is an I/O error like any other.  The
+job bytes are decoded as UTF-8, one leading byte-order mark dropped.
+Exit codes: 0 success, 2 input that cannot be parsed, on the command line
+(a usage error) or in the job text (including job text, from a file or
 standard input, that is not valid UTF-8), 3 invalid descriptor, 4
 internal invariant violation (including a prime that fails its
 certificate inside factorization), 5 I/O error (job file or standard
@@ -105,7 +107,7 @@ def main(argv=None) -> int:
         return 5
 
     try:
-        config = parse_input(data.decode("utf-8"), strict=args.strict)
+        config = parse_input(data.decode("utf-8-sig"), strict=args.strict)
     except UnicodeDecodeError:
         print("parse error: job text is not valid UTF-8", file=sys.stderr)
         return 2

@@ -53,7 +53,7 @@ from .errors import FieldArgumentError
 from .intmath import is_prime, prime_factors
 from .kernel import rabin
 
-DEFAULT_MAX_Q = 1 << 20
+_MAX_Q = 1 << 20
 _TABLE_LIMIT = 1 << 13
 
 
@@ -150,7 +150,7 @@ def _is_generator(a, q, one, power):
 def _find_modulus(p, f):
     if f == 1:
         return (0, 1)
-    fp = build_field(p, 1, max_q=p)
+    fp = build_field(p, 1)
     # constant term 0 means divisibility by x, so start past those vectors
     for k in range(p ** (f - 1), p ** f):
         cand = _index_coeffs(k, p, f) + (1,)
@@ -161,24 +161,23 @@ def _find_modulus(p, f):
 
 # ---------------------------------------------------------------------------
 
-def field_order(p: int, f: int, max_q: int = DEFAULT_MAX_Q) -> int:
+def field_order(p: int, f: int) -> int:
     """q = p^f, once p and f pass :func:`build_field`'s checks on them."""
     if not isinstance(f, int) or f < 1:
         raise FieldArgumentError("f", f"f must be a positive integer, got {f!r}")
     # refused before is_prime(p) and p ** f, whose costs grow with p and f
-    if isinstance(p, int) and (p > max_q or f > max_q.bit_length()):
-        raise FieldArgumentError("p" if p > max_q else "f",
-                                 f"q = p^f exceeds the configured bound {max_q}")
+    if isinstance(p, int) and (p > _MAX_Q or f > _MAX_Q.bit_length()):
+        raise FieldArgumentError("p" if p > _MAX_Q else "f",
+                                 f"q = p^f exceeds the configured bound {_MAX_Q}")
     if not isinstance(p, int) or not is_prime(p):
         raise FieldArgumentError("p", f"p must be prime, got {p!r}")
     q = p ** f
-    if q > max_q:
-        raise FieldArgumentError("f", f"q = {q} exceeds the configured bound {max_q}")
+    if q > _MAX_Q:
+        raise FieldArgumentError("f", f"q = {q} exceeds the configured bound {_MAX_Q}")
     return q
 
 
-def build_field(p: int, f: int, *, modulus=None, generator=None,
-                max_q: int = DEFAULT_MAX_Q) -> "FqField":
+def build_field(p: int, f: int, *, modulus=None, generator=None) -> "FqField":
     """Construct F_{p^f} deterministically.
 
     Without overrides the defining modulus is the lexicographically
@@ -192,9 +191,9 @@ def build_field(p: int, f: int, *, modulus=None, generator=None,
     ``generator`` overrides the canonical generator (a coefficient
     vector of length f); both are validated.  A refusal is a
     :class:`FieldArgumentError` whose ``arg`` names the argument refused;
-    a q over ``max_q`` is charged to f unless p alone exceeds it.
+    a q over the bound 2^20 is charged to f unless p alone exceeds it.
     """
-    q = field_order(p, f, max_q)
+    q = field_order(p, f)
     if modulus is None:
         modulus = _find_modulus(p, f)
     else:
@@ -204,7 +203,7 @@ def build_field(p: int, f: int, *, modulus=None, generator=None,
         if any(not 0 <= c < p for c in modulus):
             raise FieldArgumentError("modulus",
                                      "modulus coefficients must lie in [0, p)")
-        if f > 1 and not rabin(build_field(p, 1, max_q=p), list(modulus)):
+        if f > 1 and not rabin(build_field(p, 1), list(modulus)):
             raise FieldArgumentError("modulus", "modulus is not irreducible over F_p")
 
     ops, one = _code_ops(p, f, modulus), p ** (f - 1)

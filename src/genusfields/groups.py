@@ -102,8 +102,6 @@ def smith_normal_form(matrix, modulus) -> LatticeForm:
                 break
             add_row(t, bad, 1)
             piv = (t, t)
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
 
     diag = tuple(gcd(S[i][i] if i < m else 0, modulus) for i in range(n))
     return LatticeForm(diag, tuple(tuple(x % s for x in col)
@@ -204,9 +202,9 @@ def _lattice_form(modulus, dim, generators) -> LatticeForm:
     return smith_normal_form(generators or [(0,) * dim], modulus)
 
 
-def enumerate_subgroup(group: RadicandGroup, limit: int = 1 << 16) -> frozenset:
-    """All elements by closure from the generators; independent of the
-    Smith-form machinery, intended as a brute-force oracle."""
+def enumerate_subgroup(group: RadicandGroup) -> frozenset:
+    """All elements, at most 2^16, by closure from the generators; independent
+    of the Smith-form machinery, intended as a brute-force oracle."""
     M, d = group.modulus, group.dim
     zero = (0,) * d
     seen = {zero}
@@ -216,7 +214,7 @@ def enumerate_subgroup(group: RadicandGroup, limit: int = 1 << 16) -> frozenset:
         for g in group.generators:
             nxt = tuple((a + b) % M for a, b in zip(cur, g))
             if nxt not in seen:
-                if len(seen) >= limit:
+                if len(seen) >= 1 << 16:
                     raise ValueError("subgroup too large to enumerate")
                 seen.add(nxt)
                 stack.append(nxt)

@@ -113,9 +113,6 @@ class Poly:
         self._same_field(other)
         return Poly._make(self.field, _k.sub(self.field, self.codes, other.codes))
 
-    def __neg__(self):
-        return Poly._make(self.field, _k.neg(self.field, self.codes))
-
     def __mul__(self, other):
         self._same_field(other)
         return Poly._make(self.field, _k.mul(self.field, self.codes, other.codes))
@@ -187,11 +184,6 @@ def poly_sort_key(poly: Poly):
 # ---------------------------------------------------------------------------
 # squarefree decomposition
 
-def _pth_root(h: Poly) -> Poly:
-    """The p-th root of a polynomial whose derivative vanishes."""
-    return Poly._make(h.field, _k.pth_root(h.field, h.codes))
-
-
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Write f = lc(f) * prod S_j^(m_j) with the S_j monic, squarefree and
     pairwise coprime and the m_j strictly increasing.
@@ -208,7 +200,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     def accumulate(h: Poly, scale: int):
         d = h.derivative()
         if d.is_zero():
-            accumulate(_pth_root(h), scale * field.p)
+            accumulate(Poly._make(field, _k.pth_root(field, h.codes)), scale * field.p)
             return
         c = gcd(h, d)
         w = h // c
@@ -221,7 +213,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
                 parts[key] = parts[key] * z if key in parts else z
             w, c, i = y, c // y, i + 1
         if c.degree() > 0:
-            accumulate(_pth_root(c), scale * field.p)
+            accumulate(Poly._make(field, _k.pth_root(field, c.codes)), scale * field.p)
 
     m = f.monic()
     if m.degree() > 0:
@@ -237,11 +229,6 @@ def is_irreducible(f: Poly) -> bool:
     if f.is_zero():
         raise ValueError("the zero polynomial has no irreducibility status")
     return _k.rabin(f.field, f.monic().codes)
-
-
-def _random_poly(field: FqField, rng: random.Random, max_deg: int) -> Poly:
-    # a code is the from_index index, so this draws from_index elements
-    return Poly._make(field, [rng.randrange(field.q) for _ in range(max_deg + 1)])
 
 
 def _distinct_degree(h: Poly):
@@ -276,7 +263,8 @@ def _equal_degree(h: Poly, d: int, rng: random.Random) -> list[Poly]:
     field = h.field
     one = Poly.one(field)
     while True:
-        r = _random_poly(field, rng, n - 1)
+        # a code is the from_index index, so this draws from_index elements
+        r = Poly._make(field, [rng.randrange(field.q) for _ in range(n)])
         if r.degree() < 1:
             continue
         if field.p != 2:

@@ -378,8 +378,10 @@ def _fmt_galois(factors) -> str:
 
 
 def _fmt_radical(rad) -> str:
-    base = rad["prime"] if rad["c"] in ("1", "g^0") else f"{rad['c']}*{rad['prime']}"
-    if "+" in base or "*" in base:
+    # every radical's constant is one (see genus.clement_genus_field), and a
+    # prime with a "*" has at least two terms, so "+" marks a sum
+    base = rad["prime"]
+    if "+" in base:
         base = f"({base})"
     return f"{base}^(1/{rad['e']})"
 

@@ -43,8 +43,7 @@ def test_build_field_errors():
     with pytest.raises(ValueError):
         build_field(5, 0)
     with pytest.raises(ValueError):
-        build_field(2, 21)  # 2^21 exceeds the default bound
-    build_field(2, 21, max_q=1 << 22)  # raised bound admits it
+        build_field(2, 21)  # 2^21 exceeds the bound 2^20
     # refused before trial division by sqrt(p) or building p ** f
     start = time.monotonic()
     with pytest.raises(ValueError):

@@ -122,6 +122,45 @@ def test_parse_errors_carry_position():
             parse_input(field_line + "\ncomponent gamma=1 D=T m=1\n")
 
 
+# every grammar refusal: (line, col, message, job text); a refusal of the
+# job as a whole carries no position, (0, 0)
+COMPONENT = "component gamma=1 D=T m=2\n"
+BAD_GRAMMAR = (
+    (2, 19, "bad power of T: 'Tx'", "field p=5 f=1\ncomponent gamma=3 D=Tx m=2\n"),
+    (2, 19, "exponent 4097 too large",
+     "field p=5 f=1\ncomponent gamma=3 D=T^4097 m=2\n"),
+    (2, 19, "empty monomial in 'T++1'",
+     "field p=5 f=1\ncomponent gamma=3 D=T++1 m=2\n"),
+    (2, 19, "empty polynomial", "field p=5 f=1\ncomponent gamma=3 D= m=2\n"),
+    (1, 15, "modulus coefficient 5 not in 0..2",
+     "field p=3 f=2 mod=x^2+5\n" + COMPONENT),
+    (2, 10, "expected key=value assignments", "field p=5 f=1\ncomponent\n"),
+    (1, 6, "unexpected text 'xyz'", "field xyz p=5 f=1\n" + COMPONENT),
+    (1, 11, "duplicate key 'p'", "field p=5 p=5 f=1\n" + COMPONENT),
+    (2, 3, "expected a field or component line", "field p=5 f=1\n  =5\n"),
+    (2, 27, "unknown key 'extra' on component line",
+     "field p=5 f=1\ncomponent gamma=2 D=T m=2 extra=1\n"),
+    (2, 1, "component line is missing 'm'",
+     "field p=5 f=1\ncomponent gamma=2 D=T\n"),
+    (1, 1, "field line is missing 'p'", "field f=1\n" + COMPONENT),
+    (1, 1, "unknown directive 'orbit'", "orbit gamma=1\n"),
+    (1, 1, "component line before any field line", COMPONENT + "field p=5 f=1\n"),
+    (2, 1, "duplicate field line", "field p=5 f=1\nfield p=5 f=1\n" + COMPONENT),
+    (0, 0, "expected at least one component line", "field p=5 f=1\n"),
+    (0, 0, "missing field line", "# only\n# comments\n"),
+)
+
+
+@pytest.mark.parametrize("line, col, message, text", BAD_GRAMMAR,
+                         ids=[row[2] for row in BAD_GRAMMAR])
+def test_grammar_refusal_position_and_message(line, col, message, text):
+    with pytest.raises(ParseError) as err:
+        parse_input(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == (f"line {line}, col {col}: {message}" if line
+                              else message)
+
+
 # lines end at "\n", "\r\n" or "\r" only; the other characters that
 # str.splitlines() breaks at are whitespace inside a line
 OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -568,6 +607,69 @@ def test_cli_job_text_not_utf8(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "parse error: job text is not valid UTF-8\n" * 2
+
+
+def test_cli_job_with_byte_order_mark(tmp_path, capsys, monkeypatch):
+    # one leading U+FEFF, as Windows editors write it, is not job text
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(JOB.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + JOB.encode("utf-8"))
+    for fmt in ("text", "json"):
+        assert main(["compare", "--format", fmt, str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["compare", "--format", fmt, str(marked)]) == 0
+        assert capsys.readouterr() == want
+        monkeypatch.setattr("sys.stdin", _stdin(marked.read_bytes()))
+        assert main(["compare", "--format", fmt]) == 0
+        assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--format", "xml"], ["compute", "--bogus"],
+    ["compute", "--seed", "abc"], []])
+def test_cli_usage_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage:")
+
+
+# job texts at the edges of the grammar and its bounds, with the exit codes
+# of ``compare --infinite`` and ``compute --strict``
+EDGE_FIELD, EDGE_COMPONENT = "field p=5 f=1\n", "component gamma=2 D=T m=4\n"
+CLI_EDGE_CASES = {
+    "q2_m1": ("field p=2 f=1\ncomponent gamma=1 D=T m=1\n", 0, 3),
+    "q2_m2": ("field p=2 f=1\ncomponent gamma=1 D=T m=2\n", 3, 2),
+    "D1": (EDGE_FIELD + "component gamma=2 D=1 m=4\n", 0, 0),
+    "gamma0": (EDGE_FIELD + "component gamma=0 D=T m=4\n", 3, 3),
+    "m_5000_digits": (EDGE_FIELD + f"component gamma=2 D=T m={'9' * 5000}\n", 2, 2),
+    "m_100_digits": (EDGE_FIELD + f"component gamma=2 D=T m={'9' * 100}\n", 3, 2),
+    "gen_g0": ("field p=5 f=1 gen=g^0\n" + EDGE_COMPONENT, 2, 2),
+    "gen_4000_digits": (f"field p=5 f=1 gen=g^{'1' * 4000}\n" + EDGE_COMPONENT, 0, 0),
+    "p_5000_digits": (f"field p={'9' * 5000} f=1\n" + EDGE_COMPONENT, 2, 2),
+    "f_50_digits": (f"field p=5 f={'9' * 50}\n" + EDGE_COMPONENT, 2, 2),
+    "mod_x1": ("field p=5 f=1 mod=x+1\n" + EDGE_COMPONENT, 0, 0),
+    "2000_components": (EDGE_FIELD + EDGE_COMPONENT * 2000, 0, 0),
+    "crlf": ((EDGE_FIELD + EDGE_COMPONENT).replace("\n", "\r\n"), 0, 0),
+    "nul_in_field_line": ("field p=5\x00 f=1\n" + EDGE_COMPONENT, 2, 2),
+    "byte_order_mark": ("\ufeff" + EDGE_FIELD + EDGE_COMPONENT, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", CLI_EDGE_CASES)
+def test_cli_edge_cases(name, capsys, monkeypatch):
+    text, lenient, strict = CLI_EDGE_CASES[name]
+    for argv, code in ((["compare", "--infinite"], lenient),
+                       (["compute", "--strict"], strict)):
+        monkeypatch.setattr("sys.stdin", _stdin(text.encode("utf-8")))
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code:
+            assert captured.out == "" and captured.err.count("\n") == 1
+        else:
+            assert captured.err == ""
 
 
 def test_cli_strict_flag(tmp_path, capsys):
