@@ -13,22 +13,24 @@ lexicographic coordinate order (:meth:`FqField.from_index`): the code of
 (c_0, ..., c_(f-1)) is c_0 p^(f-1) + ... + c_(f-1), so on prime fields
 it is the residue, 0 is zero and p^(f-1) is one.  This module alone knows
 the coding, and every loop in it runs on codes; coordinate tuples are
-only read or written at its API.  :class:`FqElem` wraps a code, and the
-polynomial loops of :mod:`kernel` run on lists of codes through each
-field's code operations (``_add``, ``_neg``, ``_mul``, ``_pow``,
-``_int``, ``_prep``, ``_axpy``), bound on first use:
+only read or written at its API.  The element arithmetic is
+:func:`_code_ops`: residues mod p on prime fields, and for f > 1 one
+packed integer product per element product, its digits reduced straight
+into a code.  :class:`FqElem` wraps a code and computes with it, as do the
+generator search, the table build and the baby-step search.
 
-- prime fields: residue arithmetic mod p;
-- f > 1: one packed integer product per element product
-  (:func:`_code_ops`), its digits reduced straight into a code;
-- f > 1 and q <= ``_TABLE_LIMIT`` = 2^13 when the field is built:
-  ``array`` tables instead, built once per field.  ``_log[c]`` is the
-  discrete log of code c, with ``_log[0] = 2(q-1)`` marking zero;
-  ``_exp[k]`` is the code of g^(k mod (q-1)) for k < 2(q-1) and 0 from
-  2(q-1) to 4(q-1), so ``_exp[_log[a] + _log[b]]`` is the code of a * b
-  even when a or b is zero.  In characteristic 2 addition is XOR of
-  codes; for odd p, ``_zech[k]`` is the log of 1 + g^k (the Zech
-  logarithm), or 2(q-1) when that is zero.
+The polynomial loops of :mod:`kernel` run on lists of codes through the
+four loop operations a field binds on first use (``_mul``, ``_pow``,
+``_prep``, ``_axpy``).  They are the element arithmetic, except on
+extension fields with q <= ``_TABLE_LIMIT`` = 2^13 when the field is
+built: there they read ``array`` tables, built once per field.
+``_log[c]`` is the discrete log of code c, with
+``_log[0] = 2(q-1)`` marking zero; ``_exp[k]`` is the code of
+g^(k mod (q-1)) for k < 2(q-1) and 0 from 2(q-1) to 4(q-1), so
+``_exp[_log[a] + _log[b]]`` is the code of a * b even when a or b is
+zero.  In characteristic 2 a row update XORs codes; for odd p,
+``_zech[k]`` is the log of 1 + g^k (the Zech logarithm), or 2(q-1) when
+that is zero.  Element arithmetic never builds the tables.
 
 The limit is where a job stops earning back its q table entries: with
 two random degree-6 radicands per job, tables win up to 2^13 and 3^8
@@ -47,7 +49,7 @@ from __future__ import annotations
 from array import array
 from itertools import product
 from math import isqrt
-from operator import lshift, pos, xor
+from operator import lshift, pos
 
 from .errors import FieldArgumentError
 from .intmath import is_prime, prime_factors
@@ -221,15 +223,15 @@ def build_field(p: int, f: int, *, modulus=None, generator=None) -> "FqField":
     return FqField(p, f, modulus, gcode, ops)
 
 
-_CODE_OPS = ("_add", "_neg", "_mul", "_pow", "_prep", "_axpy")
+_CODE_OPS = ("_mul", "_pow", "_prep", "_axpy")
 
 
 class FqField:
     """The field with q = p^f elements; use :func:`build_field` to create one."""
 
     __slots__ = ("p", "f", "q", "modulus", "_gcode", "_one", "_hash", "_ops",
-                 "_tabled", "_exp", "_log", "_zech", "_memo",
-                 "_baby") + _CODE_OPS
+                 "_tabled", "_exp", "_log", "_zech", "_memo", "_baby",
+                 "_minus_one") + _CODE_OPS
 
     def __init__(self, p, f, modulus, gcode, ops):
         self.p = p
@@ -238,6 +240,7 @@ class FqField:
         self.modulus = tuple(modulus)
         self._gcode = gcode
         self._one = p ** (f - 1)
+        self._minus_one = self._int(-1)
         self._ops = ops
         self._tabled = f > 1 and self.q <= _TABLE_LIMIT
         self._exp = self._log = self._zech = self._baby = None
@@ -328,7 +331,7 @@ class FqField:
         return self._tabled
 
     def _bind(self):
-        """Bind the code operations used by FqElem and the kernel loops."""
+        """Bind the four code operations the kernel loops read."""
         p, n = self.p, self.q - 1
         mul, power, pack, reduce = self._ops
         self._mul, self._pow = mul, power
@@ -336,15 +339,8 @@ class FqField:
             def axpy(out, off, c, b):
                 end = off + len(b)
                 out[off:end] = [(o + c * x) % p for o, x in zip(out[off:end], b)]
-            self._add = lambda a, b: (a + b) % p
-            self._neg = lambda a: -a % p
             self._prep, self._axpy = tuple, axpy
             return
-        if p == 2:
-            self._add, self._neg = xor, pos
-        else:
-            self._add = lambda a, b: reduce(pack(a) + pack(b))
-            self._neg = lambda a: reduce(pack(a) * (p - 1))
         if not self._tables():
             def axpy(out, off, c, pb):
                 pc = pack(c)
@@ -353,19 +349,13 @@ class FqField:
             self._prep = lambda b: list(map(pack, b))
             self._axpy = axpy
             return
-        exp, log, zech, half = self._exp, self._log, self._zech, n // 2
+        exp, log, zech = self._exp, self._log, self._zech
         if p == 2:
             def axpy(out, off, c, lb):
                 lc, end = log[c], off + len(lb)
                 out[off:end] = [o ^ exp[lc + l]
                                 for o, l in zip(out[off:end], lb)]
         else:
-            def add(a, b):
-                if not a or not b:
-                    return a or b
-                la = log[a]
-                return exp[la + zech[(log[b] - la) % n]]
-
             def axpy(out, off, c, lb):
                 lc = log[c]
                 for j, l in enumerate(lb, off):
@@ -376,8 +366,6 @@ class FqField:
                             out[j] = exp[lo + zech[(lc + l - lo) % n]]
                         else:
                             out[j] = exp[lc + l]
-            self._add = add
-            self._neg = lambda a: exp[log[a] + half]
         self._mul = lambda a, b: exp[log[a] + log[b]]
         self._pow = lambda a, e: exp[log[a] * e % n]
         self._prep = lambda b: [log[x] for x in b]
@@ -421,17 +409,6 @@ class FqField:
             code = reduce(pack(code) * giant)
         raise ValueError("dlog failed; element not in the multiplicative group")
 
-    def _gen_pow(self, e: int) -> int:
-        """The code of g^e, binding nothing: read from ``_exp`` once tables
-        exist, else taken on codes and noted in the log memo.  So the
-        default field that a job's ``gen=`` is read on stays unbound."""
-        k = e % (self.q - 1)
-        if self._exp is not None:
-            return self._exp[k]
-        code = self._ops[1](self._gcode, k)
-        self._memo[code] = k
-        return code
-
     def _check_elem(self, x):
         if not isinstance(x, FqElem) or (x.field is not self and x.field != self):
             raise ValueError("element does not belong to this field")
@@ -465,26 +442,29 @@ class FqElem:
 
     def __add__(self, other):
         self._same_field(other)
-        return FqElem(self.field, self.field._add(self.code, other.code))
+        _, _, pack, reduce = self.field._ops
+        return FqElem(self.field, reduce(pack(self.code) + pack(other.code)))
 
     def __sub__(self, other):
         self._same_field(other)
         F = self.field
-        return FqElem(F, F._add(self.code, F._neg(other.code)))
+        _, _, pack, reduce = F._ops
+        return FqElem(F, reduce(pack(self.code) + pack(other.code) * (F.p - 1)))
 
     def __neg__(self):
-        return FqElem(self.field, self.field._neg(self.code))
+        _, _, pack, reduce = self.field._ops
+        return FqElem(self.field, reduce(pack(self.code) * (self.field.p - 1)))
 
     def __mul__(self, other):
         self._same_field(other)
-        return FqElem(self.field, self.field._mul(self.code, other.code))
+        return FqElem(self.field, self.field._ops[0](self.code, other.code))
 
     def __truediv__(self, other):
         self._same_field(other)
         if not other:
             raise ZeroDivisionError("division by zero in F_q")
-        F = self.field
-        return FqElem(F, F._mul(self.code, F._pow(other.code, -1)))
+        mul, power, _, _ = self.field._ops
+        return FqElem(self.field, mul(self.code, power(other.code, -1)))
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -496,9 +476,10 @@ class FqElem:
                 return self.field.one
             raise ZeroDivisionError("negative power of zero in F_q")
         F = self.field
-        if self.code == F._gcode:
-            return FqElem(F, F._gen_pow(e))
-        return FqElem(F, F._pow(self.code, e))
+        code = F._ops[1](self.code, e)
+        if self.code == F._gcode:   # so a parsed g^k renders back without a search
+            F._memo[code] = e % (F.q - 1)
+        return FqElem(F, code)
 
     def __eq__(self, other):
         if not isinstance(other, FqElem):

@@ -12,7 +12,7 @@ s_1 | s_2 | ... | M.  The form keeps the s_j and each column of V
 reduced mod its s_j.  That is exact: membership reads (v V)_j only mod
 s_j, and the constant line only gcd(s_j, V[0][j]).  V's own entries
 reach 81 bits on 60 jobs of the wide_basis benchmark.  Each group's form
-is built once and cached.
+is built once and cached, and the cache keeps the last 64 forms.
 
 Pivoting is deterministic: the entry of smallest nonzero absolute
 value, ties broken by row-major position.
@@ -196,7 +196,7 @@ class RadicandGroup:
         return M // gcd(M, *(sum(map(mul, g, weights)) for g in self.generators))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def _lattice_form(modulus, dim, generators) -> LatticeForm:
     """The form of rowspace(generators) + modulus * Z^dim."""
     return smith_normal_form(generators or [(0,) * dim], modulus)

@@ -2,12 +2,12 @@
 
 A polynomial here is a list of element codes (see :mod:`ffield`), constant
 term first, with no trailing zeros; the zero polynomial is the empty list.
-The loops never decode a code.  Every coefficient operation goes through
-the field's code operations ``F._add``, ``F._neg``, ``F._mul``, ``F._pow``
-and ``F._int``, and the inner loop of products and divisions is the row
-update ``F._axpy(out, off, c, F._prep(b))``, which adds c * b to ``out``
-from position ``off`` on.  The field picks the fastest form of each for
-its size and characteristic.
+The loops never decode a code: they use the field's ``F._mul``, ``F._pow``,
+``F._int``, ``F._one`` and ``F._minus_one``, and the inner loop of sums,
+products and divisions is the row update
+``F._axpy(out, off, c, F._prep(b))``, which adds c * b to ``out`` from
+position ``off`` on (c = 1 for a sum, c = -1 for a difference).  The
+field picks the fastest form of each for its size and characteristic.
 
 The Frobenius map v -> v^q on F_q[x]/(m) is F_q-linear, so once the
 rows x^(iq) mod m are known (:func:`frobenius_rows`, built from x^q mod m)
@@ -31,22 +31,19 @@ def trim(a: list) -> list:
     return a
 
 
-def add(F, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    plus = F._add
-    for i, c in enumerate(b):
-        out[i] = plus(out[i], c)
+def _update(F, a, c, b):
+    """a + c * b for a nonzero code c, as one row update."""
+    out = list(a) + [0] * (len(b) - len(a))
+    F._axpy(out, 0, c, F._prep(b))
     return trim(out)
 
 
-def neg(F, a):
-    return list(map(F._neg, a))
+def add(F, a, b):
+    return _update(F, a, F._one, b)
 
 
 def sub(F, a, b):
-    return add(F, a, neg(F, b))
+    return _update(F, a, F._minus_one, b)
 
 
 def mul(F, a, b):
@@ -70,14 +67,15 @@ def div_mod(F, a, b):
     rem = list(a)
     quo = [0] * (len(a) - db)
     inv = None if b[-1] == F._one else F._pow(b[-1], -1)
-    times, minus, axpy, pb = F._mul, F._neg, F._axpy, F._prep(b[:-1])
+    times, axpy, pb, minus_one = F._mul, F._axpy, F._prep(b[:-1]), F._minus_one
+    odd = F.p > 2   # in characteristic 2, -c is c: no product
     for k in range(len(quo) - 1, -1, -1):
         c = rem[k + db]
         if c:
             if inv is not None:
                 c = times(c, inv)
             quo[k] = c
-            axpy(rem, k, minus(c), pb)
+            axpy(rem, k, times(c, minus_one) if odd else c, pb)
     del rem[db:]
     return quo, trim(rem)
 

@@ -16,8 +16,9 @@ coefficients 0..p-1 only), are ``+``-separated monomials ``c*V^e``,
 ``V^e``, ``V`` or ``c`` in their variable, with e at most
 ``_MAX_EXPONENT`` (4096); like terms are summed and zero terms dropped.
 Every integer (``<int>``, ``<k>``, ``e`` and ``c``) is ASCII digits 0-9
-only: no sign, no underscore, no other digits.  The ``field`` line must
-come first and at least one ``component`` must follow.
+only: no sign, no underscore, no other digits, and at most as many as
+``int()`` converts (4300).  The ``field`` line must come first and at
+least one ``component`` must follow.
 
 The grammar is read and written in one place each: ``_parse_terms``
 reads both polynomials and ``_render_terms`` writes them, ``_assignments``
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from functools import partial
 from math import prod
@@ -76,9 +78,9 @@ def _render_terms(coeffs, var: str, const, one) -> str:
     return "+".join(terms) or "0"
 
 
-def render_poly(poly: Poly, var: str = "T") -> str:
+def render_poly(poly: Poly) -> str:
     field = poly.field
-    return _render_terms(poly.coeffs, var, partial(render_const, field), field.one)
+    return _render_terms(poly.coeffs, "T", partial(render_const, field), field.one)
 
 
 def render_modulus(field: FqField) -> str:
@@ -92,13 +94,16 @@ _UINT_RE = re.compile(r"[0-9]+")
 
 
 def _parse_uint(token: str, error: str) -> int:
-    """The grammar's <int>; raises ``ValueError(error)`` on anything else."""
-    if _UINT_RE.fullmatch(token):
-        try:
-            return int(token)
-        except ValueError:   # more digits than int() converts
-            pass
-    raise ValueError(error)
+    """The grammar's <int>; raises ``ValueError(error)`` on anything else,
+    and a ValueError naming the limit on more digits than ``int()``
+    converts (4300 unless the interpreter is set otherwise)."""
+    if not _UINT_RE.fullmatch(token):
+        raise ValueError(error)
+    try:
+        return int(token)
+    except ValueError:   # more digits than int() converts
+        raise ValueError(f"integer of {len(token)} digits exceeds the "
+                         f"{sys.get_int_max_str_digits()}-digit limit") from None
 
 
 def parse_const(field: FqField, token: str) -> FqElem:
@@ -150,8 +155,8 @@ def _parse_terms(token: str, var: str, coef, add) -> list:
     return trim([terms.get(e, zero) for e in range(max(terms) + 1)])
 
 
-def parse_poly(field: FqField, token: str, var: str = "T") -> Poly:
-    return Poly(field, _parse_terms(token, var, partial(parse_const, field),
+def parse_poly(field: FqField, token: str) -> Poly:
+    return Poly(field, _parse_terms(token, "T", partial(parse_const, field),
                                     operator.add))
 
 

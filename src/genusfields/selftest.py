@@ -38,8 +38,8 @@ def pooled_field(p, f):
     return _FIELDS[key]
 
 
-def random_monic(field, rng, max_deg, min_deg=0):
-    deg = rng.randint(min_deg, max_deg)
+def random_monic(field, rng, max_deg):
+    deg = rng.randint(0, max_deg)
     coeffs = [field.from_index(rng.randrange(field.q)) for _ in range(deg)]
     return Poly(field, coeffs + [field.one])
 

@@ -6,9 +6,12 @@ the ``FqElem`` operators, reading each from its owner's ``__dict__``, and
 ``groups._lattice_form``.  A worker job is ``Runner.job``: ``parse_input``,
 ``dataclasses.replace`` of the ``JobConfig`` fields it sets, ``run`` and
 ``Report.to_json``.  A refactor that renames or moves any of them breaks
-the benchmark run; these tests catch it in the suite.
+the benchmark run; these tests catch it in the suite.  One more test
+guards the traffic the benchmark's jobs put on the ``FqElem`` operators:
+none.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -18,6 +21,7 @@ import pytest
 
 import genusfields
 from genusfields import groups, report
+from genusfields.ffield import FqElem
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -62,6 +66,27 @@ def test_traced_names_resolve(monkeypatch):
     elem = importlib.import_module(f"{tracer.PACKAGE}.ffield").FqElem
     for op in tracer.ELEM_OP_NAMES:
         assert op in vars(elem), op
+
+
+def test_job_path_runs_no_element_arithmetic(monkeypatch):
+    """The first seed-1 round of every workload, each job run as the worker
+    runs it, calls no ``FqElem`` sum, difference, negation, product or
+    quotient: the job computes on codes in the kernel loops, so only those
+    loops need a field's fastest arithmetic."""
+    workloads = load(monkeypatch, "workloads")
+    calls = []
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__"):
+        def counted(*args, op=op, original=getattr(FqElem, op)):
+            calls.append(op)
+            return original(*args)
+        monkeypatch.setattr(FqElem, op, counted)
+    for name, rounds in workloads.WORKLOADS.items():
+        for text in next(rounds(1)):
+            config = dataclasses.replace(report.parse_input(text), fmt="json",
+                                         include_infinite=True,
+                                         include_comparison=True)
+            report.run(config).to_json()
+        assert calls == [], name
 
 
 def test_snf_cache_is_inspectable():

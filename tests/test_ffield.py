@@ -227,6 +227,24 @@ def test_table_choice_is_made_when_built(monkeypatch):
     assert fld._log is None
 
 
+@pytest.mark.parametrize("p,f", [(2, 13), (3, 8)])
+def test_element_arithmetic_builds_no_tables(p, f):
+    """FqElem operators run on the element arithmetic, so combining the
+    elements of a fresh tabled field leaves it without tables; once built,
+    the tables give the same codes."""
+    fld = build_field(p, f)
+    x, y = fld.from_index(fld.q - 1), fld.from_index(fld.q // 3)
+    got = [x * y, x + y, x - y, -x, x / y, x ** 5, fld.g ** 1234]
+    assert fld._log is None and fld._exp is None
+    fld._bind()   # the kernel loops now read the tables
+    assert fld._log is not None
+    X, Y = Poly(fld, [x]), Poly(fld, [y])
+    want = [X * Y, X + Y, X - Y, Poly.zero(fld) - X, X // Y]
+    assert [Poly(fld, [z]) for z in got[:5]] == want
+    assert [z.code for z in got[5:]] == [fld._pow(x.code, 5), fld._exp[1234]]
+    assert x + y - y == x and -(-x) == x and x - y == x + -y
+
+
 def _ref_product(a, b, modulus, p):
     """Coordinate product of a and b, reduced by the monic modulus and p."""
     f = len(modulus) - 1

@@ -1,13 +1,17 @@
 """Differential tests of the int-coded polynomial kernel.
 
-Products, division with remainder, gcd and modular powers of ``Poly`` are
-checked against a plain schoolbook reference written with ``FqElem``
-operators, and one Frobenius matrix step and the powers x^(q^j) of
-``kernel.frobenius_powers`` against chained ``pow_mod``, on both
-arithmetic paths of ``ffield``: the tabled one and the untabled one,
-forced by building the fields with ``_TABLE_LIMIT`` set low.
+Sums, differences, products, division with remainder, gcd and modular
+powers of ``Poly`` are checked against a plain schoolbook reference
+written with ``FqElem`` operators, which run on the element arithmetic
+(``ffield._code_ops``) and never on a field's tables, and one Frobenius
+matrix step and the powers x^(q^j) of ``kernel.frobenius_powers``
+against chained ``pow_mod``, on both arithmetic paths of ``ffield``: the
+tabled one and the untabled one, forced by building the fields with
+``_TABLE_LIMIT`` set low.
 The fields cover p = 2 and odd p, f = 1 and f > 1.
 """
+
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +33,13 @@ def _trim(a):
     while a and a[-1].is_zero():
         a.pop()
     return a
+
+
+def ref_add(fld, a, b, op):
+    """a + b or a - b, by ``op`` on each coefficient."""
+    n = max(len(a), len(b))
+    a, b = (x + [fld.zero] * (n - len(x)) for x in (a, b))
+    return _trim([op(x, y) for x, y in zip(a, b)])
 
 
 def ref_mul(fld, a, b):
@@ -94,6 +105,8 @@ def test_kernel_matches_schoolbook(fields, case):
     fld = fields[key]
     ea, eb = _elems(fld, a), _elems(fld, b)
     A, B = Poly(fld, ea), Poly(fld, eb)
+    assert list((A + B).coeffs) == ref_add(fld, ea, eb, operator.add)
+    assert list((A - B).coeffs) == ref_add(fld, ea, eb, operator.sub)
     assert list((A * B).coeffs) == ref_mul(fld, ea, eb)
     assert list(gcd(A, B).coeffs) == ref_gcd(fld, ea, eb)
     if eb:

@@ -146,13 +146,21 @@ BAD_GRAMMAR = (
     (1, 1, "unknown directive 'orbit'", "orbit gamma=1\n"),
     (1, 1, "component line before any field line", COMPONENT + "field p=5 f=1\n"),
     (2, 1, "duplicate field line", "field p=5 f=1\nfield p=5 f=1\n" + COMPONENT),
+    (2, 19, "integer of 5000 digits exceeds the 4300-digit limit",
+     f"field p=5 f=1\ncomponent gamma=3 D=T^{'9' * 5000} m=2\n"),
+    (2, 19, "integer of 5000 digits exceeds the 4300-digit limit",
+     f"field p=5 f=1\ncomponent gamma=3 D=T+{'9' * 5000} m=2\n"),
+    (2, 11, "integer of 5000 digits exceeds the 4300-digit limit",
+     f"field p=5 f=1\ncomponent gamma=g^{'9' * 5000} D=T m=2\n"),
     (0, 0, "expected at least one component line", "field p=5 f=1\n"),
     (0, 0, "missing field line", "# only\n# comments\n"),
 )
 
 
 @pytest.mark.parametrize("line, col, message, text", BAD_GRAMMAR,
-                         ids=[row[2] for row in BAD_GRAMMAR])
+                         ids=[row[2] if len(row[3]) < 100 else
+                              f"{row[2]} in {row[3].splitlines()[1][:22]}"
+                              for row in BAD_GRAMMAR])
 def test_grammar_refusal_position_and_message(line, col, message, text):
     with pytest.raises(ParseError) as err:
         parse_input(text)
@@ -655,6 +663,13 @@ CLI_EDGE_CASES = {
     "nul_in_field_line": ("field p=5\x00 f=1\n" + EDGE_COMPONENT, 2, 2),
     "byte_order_mark": ("\ufeff" + EDGE_FIELD + EDGE_COMPONENT, 0, 0),
 }
+# the whole stderr line of a refusal, where it is asserted
+CLI_EDGE_ERRORS = {
+    "m_5000_digits": "parse error: line 2, col 23: "
+                     "integer of 5000 digits exceeds the 4300-digit limit\n",
+    "p_5000_digits": "parse error: line 1, col 7: "
+                     "integer of 5000 digits exceeds the 4300-digit limit\n",
+}
 
 
 @pytest.mark.parametrize("name", CLI_EDGE_CASES)
@@ -668,6 +683,7 @@ def test_cli_edge_cases(name, capsys, monkeypatch):
         assert "Traceback" not in captured.err
         if code:
             assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err == CLI_EDGE_ERRORS.get(name, captured.err)
         else:
             assert captured.err == ""
 
