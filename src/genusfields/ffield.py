@@ -19,22 +19,31 @@ packed integer product per element product, its digits reduced straight
 into a code.  :class:`FqElem` wraps a code and computes with it, as do the
 generator search, the table build and the baby-step search.
 
-The polynomial loops of :mod:`kernel` run on lists of codes through the
-four loop operations a field binds on first use (``_mul``, ``_pow``,
-``_prep``, ``_axpy``).  They are the element arithmetic, except on
-extension fields with q <= ``_TABLE_LIMIT`` = 2^13 when the field is
-built: there they read ``array`` tables, built once per field.
-``_log[c]`` is the discrete log of code c, with
-``_log[0] = 2(q-1)`` marking zero; ``_exp[k]`` is the code of
-g^(k mod (q-1)) for k < 2(q-1) and 0 from 2(q-1) to 4(q-1), so
-``_exp[_log[a] + _log[b]]`` is the code of a * b even when a or b is
-zero.  In characteristic 2 a row update XORs codes; for odd p,
-``_zech[k]`` is the log of 1 + g^k (the Zech logarithm), or 2(q-1) when
-that is zero.  Element arithmetic never builds the tables.
+The polynomial loops of :mod:`kernel` run through three operations a
+field binds on first use: ``_mul``, ``_pow`` and ``_rows(k)``, the
+accumulator operations for at most k row updates per coefficient
+(:meth:`FqField._bind`).  Each field has one of three forms:
 
-The limit is where a job stops earning back its q table entries: with
-two random degree-6 radicands per job, tables win up to 2^13 and 3^8
-and lose from 2^14 and 3^9.
+- prime fields accumulate residues in a list;
+- extension fields with q <= ``_TABLE_LIMIT`` = 2^13 when the field is
+  built accumulate codes in a list and read ``array`` tables, built once
+  per field.  ``_log[c]`` is the discrete log of code c, with
+  ``_log[0] = 2(q-1)`` marking zero; ``_exp[k]`` is the code of
+  g^(k mod (q-1)) for k < 2(q-1) and 0 from 2(q-1) to 4(q-1), so
+  ``_exp[_log[a] + _log[b]]`` is the code of a * b even when a or b is
+  zero.  In characteristic 2 a row update XORs codes; for odd p,
+  ``_zech[k]`` is the log of 1 + g^k (the Zech logarithm), or 2(q-1)
+  when that is zero.  Element arithmetic never builds the tables;
+- other extension fields pack a whole polynomial into one int
+  (Kronecker substitution): coefficient i is slot i, 2f - 1 digits wide,
+  and the digit width is chosen per call from k (:func:`_width`), so a
+  row update is one integer product and each coefficient is reduced
+  once, when it is read or stored.  Each width's pack tables and folds
+  are kept on the field.
+
+The limit is where a job stopped earning back its q table entries before
+whole polynomials were packed: with two random degree-6 radicands per
+job, tables won up to 2^13 and 3^8 and lost from 2^14 and 3^9.
 
 Discrete logarithms are always taken to the canonical generator: read
 from ``_log`` on tabled fields.  Other fields, prime ones included, keep
@@ -47,15 +56,15 @@ the first search.  Everything is exact.
 from __future__ import annotations
 
 from array import array
-from itertools import product
 from math import isqrt
-from operator import lshift, pos
+from operator import getitem, lshift, pos
 
 from .errors import FieldArgumentError
 from .intmath import is_prime, prime_factors
 from .kernel import rabin
 
 _MAX_Q = 1 << 20
+_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz"
 _TABLE_LIMIT = 1 << 13
 
 
@@ -78,37 +87,43 @@ def _index(coeffs, p: int) -> int:
     return k
 
 
-def _code_ops(p, f, modulus):
-    """``(mul, power, pack, reduce)`` on the codes of F_(p^f) mod ``modulus``.
+def _width(p, f, k):
+    """Bits per packed digit that hold k row additions of f (p - 1)^2 on a
+    reduced digit and the (f - 1) (p - 1)^2 that reducing adds, in whole
+    bytes, so a field builds few widths and a slot is whole bytes."""
+    bits = ((k * f + f - 1) * (p - 1) ** 2 + p - 1).bit_length()
+    return -(-bits // 8) * 8
 
-    ``mul(a, b)`` is the code of a * b, ``power(a, e)`` that of
-    a^(e mod (q - 1)).  Prime fields get residue arithmetic, with
-    ``pack`` the identity and ``reduce`` the residue mod p.  For f > 1,
-    ``pack(a)`` holds a's coordinates in one int, c_i as digit i of
-    ``width`` bits, read from tables of the packed high and low halves of
-    the code.  The integer product of two packed elements is their packed
-    coordinate product (Kronecker substitution): digit k < 2f - 1 sums at
-    most f terms c_i d_j, so it is at most f (p - 1)^2.  ``reduce(acc)``
-    adds each digit from x^f up, mod p, times the packed x^k mod
-    ``modulus``: f - 1 folds, each adding at most (p - 1)^2 to a low
-    digit.  Then it reads each low digit mod p into a code.  So the width
-    holds (2f - 1)(p - 1)^2 + p - 1, a folded product plus one packed
-    element, and ``reduce(pack(c) * pack(b) + pack(a))`` is c * b + a.
+
+def _packing(p, f, modulus, width):
+    """``(pack, reduce)`` for f > 1 and digits of ``width`` bits.
+
+    ``pack(a)`` holds a's coordinates in one int, c_i as digit i, read
+    from tables of the packed high and low halves of the code.  The
+    integer product of two packed elements is their packed coordinate
+    product (Kronecker substitution): digit k < 2f - 1 sums at most f
+    terms c_i d_j, so it is at most f (p - 1)^2.  ``reduce(acc)`` takes
+    2f - 1 digits: the digits from x^f up, mod p, add their folds (x^k mod
+    ``modulus``, packed), at most (f - 1) (p - 1)^2 on a low digit, and
+    the low digits mod p are the code.  So ``reduce`` is exact while the
+    digits hold what :func:`_width` allows.  For f >= 4, p <= 36 and
+    digits of one byte (or two, when p = 2 or p | 255) a few bytes
+    operations read all digits mod p as one base-p numeral, and the folds
+    come from two tables, one per half of the high digits; otherwise a
+    loop reads the digits one by one.
     """
-    n = p ** f - 1
-    if f == 1:
-        return (lambda a, b: a * b % p, lambda a, e: pow(a, e % n, p),
-                pos, p.__rmod__)
-    width = ((2 * f - 1) * (p - 1) ** 2 + p - 1).bit_length()
     mask, low_mask = (1 << width) - 1, (1 << width * f) - 1
     low = range(0, width * f, width)
     high = range(width * f, width * (2 * f - 1), width)
 
-    def table(shifts):   # the packed digits of every code of len(shifts) digits
-        return [sum(map(lshift, t, shifts))
-                for t in product(range(p), repeat=len(shifts))]
+    def table(units):   # sum(d_i * units[i]) for every d in lexicographic order
+        out = [0]
+        for u in units:
+            out = [t + d * u for t in out for d in range(p)]
+        return out
     split = p ** (f // 2)
-    tops, bottoms = table(low[:f - f // 2]), table(low[f - f // 2:])
+    tops = table([1 << s for s in low[:f - f // 2]])
+    bottoms = table([1 << s for s in low[f - f // 2:]])
 
     def pack(a):
         top, bottom = divmod(a, split)
@@ -120,13 +135,54 @@ def _code_ops(p, f, modulus):
         row = tuple((a - top * m) % p for a, m in zip((0,) + row[:-1], modulus))
         folds.append(sum(map(lshift, row, low)))
 
+    size = width // 8   # bytes per digit
+    if p > 36 or f < 4 or not (size == 1 or p == 2 or size == 2 and 255 % p == 0):
+        def reduce(acc):
+            acc = (acc & low_mask) + sum([(acc >> s & mask) % p * t
+                                          for s, t in zip(high, folds)])
+            code = 0
+            for s in low:
+                code = code * p + (acc >> s & mask) % p
+            return code
+        return pack, reduce
+
+    # A digit's low byte has its parity when p = 2; when 256 = 1 mod p,
+    # adding a two-byte digit's high byte into its low byte, twice, leaves
+    # a byte congruent to the digit.  Each byte then reads as its residue.
+    chars = (_DIGITS[:p] * (256 // p + 1))[:256]
+    lows = {n: int.from_bytes(b"\xff\0" * n, "little") for n in (f - 1, f)}
+    fold_bytes = size == 2 and p > 2
+
+    def residues(acc, n):   # the n digits of acc mod p, read as one base-p numeral
+        if fold_bytes:
+            acc = (acc & lows[n]) + (acc >> 8 & lows[n])
+            acc = (acc & lows[n]) + (acc >> 8 & lows[n])
+        return int(acc.to_bytes(n * size, "little")[::size].translate(chars), p)
+    half = (f - 1) // 2
+    split_high = p ** half
+    tops_high, bottoms_high = table(folds[:f - 1 - half]), table(folds[f - 1 - half:])
+
     def reduce(acc):
-        acc = (acc & low_mask) + sum([(acc >> s & mask) % p * t
-                                      for s, t in zip(high, folds)])
-        code = 0
-        for s in low:
-            code = code * p + (acc >> s & mask) % p
-        return code
+        top, bottom = divmod(residues(acc >> width * f, f - 1), split_high)
+        return residues((acc & low_mask) + tops_high[top] + bottoms_high[bottom], f)
+    return pack, reduce
+
+
+def _code_ops(p, f, modulus):
+    """``(mul, power, pack, reduce)`` on the codes of F_(p^f) mod ``modulus``.
+
+    ``mul(a, b)`` is the code of a * b, ``power(a, e)`` that of
+    a^(e mod (q - 1)).  Prime fields get residue arithmetic, with
+    ``pack`` the identity and ``reduce`` the residue mod p.  For f > 1
+    ``pack`` and ``reduce`` are :func:`_packing`'s for one product on a
+    reduced digit, so ``reduce(pack(c) * pack(b) + pack(a))`` is
+    c * b + a.
+    """
+    n = p ** f - 1
+    if f == 1:
+        return (lambda a, b: a * b % p, lambda a, e: pow(a, e % n, p),
+                pos, p.__rmod__)
+    pack, reduce = _packing(p, f, modulus, _width(p, f, 1))
 
     def mul(a, b):
         return reduce(pack(a) * pack(b))
@@ -223,7 +279,19 @@ def build_field(p: int, f: int, *, modulus=None, generator=None) -> "FqField":
     return FqField(p, f, modulus, gcode, ops)
 
 
-_CODE_OPS = ("_mul", "_pow", "_prep", "_axpy")
+_CODE_OPS = ("_mul", "_pow", "_rows")
+
+
+def _list_rows(prep, axpy):
+    """``_rows`` of a list accumulator, the same for every k."""
+    def load(a, n):
+        return [*a, *[0] * (n - len(a))] if n > len(a) else list(a)
+
+    def store(acc, n):
+        del acc[n:]
+        return acc
+    rows = (load, prep, axpy, getitem, store)
+    return lambda k: rows
 
 
 class FqField:
@@ -231,7 +299,7 @@ class FqField:
 
     __slots__ = ("p", "f", "q", "modulus", "_gcode", "_one", "_hash", "_ops",
                  "_tabled", "_exp", "_log", "_zech", "_memo", "_baby",
-                 "_minus_one") + _CODE_OPS
+                 "_minus_one", "_packs") + _CODE_OPS
 
     def __init__(self, p, f, modulus, gcode, ops):
         self.p = p
@@ -244,7 +312,7 @@ class FqField:
         self._ops = ops
         self._tabled = f > 1 and self.q <= _TABLE_LIMIT
         self._exp = self._log = self._zech = self._baby = None
-        self._memo = {}
+        self._memo, self._packs = {}, {}
         self._hash = hash(("FqField", p, f, self.modulus, gcode))
 
     def __eq__(self, other):
@@ -331,23 +399,22 @@ class FqField:
         return self._tabled
 
     def _bind(self):
-        """Bind the four code operations the kernel loops read."""
+        """Bind the operations the kernel loops read: ``_mul``, ``_pow`` and
+        ``_rows(k)``, the accumulator operations of :mod:`kernel` for at
+        most k row updates per coefficient.  Prime and tabled fields
+        accumulate in a list and ignore k (:func:`_list_rows`); the others
+        in one packed int (:meth:`_packed_rows`)."""
         p, n = self.p, self.q - 1
-        mul, power, pack, reduce = self._ops
-        self._mul, self._pow = mul, power
+        self._mul, self._pow = self._ops[:2]
         if self.f == 1:
             def axpy(out, off, c, b):
                 end = off + len(b)
                 out[off:end] = [(o + c * x) % p for o, x in zip(out[off:end], b)]
-            self._prep, self._axpy = tuple, axpy
+                return out
+            self._rows = _list_rows(tuple, axpy)
             return
         if not self._tables():
-            def axpy(out, off, c, pb):
-                pc = pack(c)
-                for j, t in enumerate(pb, off):
-                    out[j] = reduce(pc * t + pack(out[j]))
-            self._prep = lambda b: list(map(pack, b))
-            self._axpy = axpy
+            self._rows = self._packed_rows
             return
         exp, log, zech = self._exp, self._log, self._zech
         if p == 2:
@@ -355,6 +422,7 @@ class FqField:
                 lc, end = log[c], off + len(lb)
                 out[off:end] = [o ^ exp[lc + l]
                                 for o, l in zip(out[off:end], lb)]
+                return out
         else:
             def axpy(out, off, c, lb):
                 lc = log[c]
@@ -366,10 +434,41 @@ class FqField:
                             out[j] = exp[lo + zech[(lc + l - lo) % n]]
                         else:
                             out[j] = exp[lc + l]
+                return out
         self._mul = lambda a, b: exp[log[a] + log[b]]
         self._pow = lambda a, e: exp[log[a] * e % n]
-        self._prep = lambda b: [log[x] for x in b]
-        self._axpy = axpy
+        self._rows = _list_rows(lambda b: [log[x] for x in b], axpy)
+
+    def _packed_rows(self, k):
+        """``_rows(k)`` on untabled extension fields: one int, coefficient
+        i in slot i of 2f - 1 digits of :func:`_width` bits.  One set per
+        width is kept on the field, sharing the element arithmetic's."""
+        p, f = self.p, self.f
+        width = _width(p, f, k)
+        rows = self._packs.get(width)
+        if rows is None:
+            pack, reduce = self._ops[2:] if width == _width(p, f, 1) else \
+                _packing(p, f, self.modulus, width)
+            size = (2 * f - 1) * width // 8   # bytes per slot
+            bits, slot = 8 * size, (1 << 8 * size) - 1
+
+            def prep(b):
+                return int.from_bytes(b"".join([pack(c).to_bytes(size, "little")
+                                                for c in b]), "little")
+
+            def axpy(acc, off, c, row):
+                return acc + (pack(c) * row << off * bits)
+
+            def read(acc, i):
+                return reduce(acc >> i * bits & slot)
+
+            def store(acc, n):
+                end = n * size
+                buf = acc.to_bytes(max(end, (acc.bit_length() + 7) // 8), "little")
+                return [reduce(int.from_bytes(buf[i:i + size], "little"))
+                        for i in range(0, end, size)]
+            rows = self._packs[width] = (lambda a, n: prep(a), prep, axpy, read, store)
+        return rows
 
     # -- discrete logarithms ---------------------------------------------------
 

@@ -252,11 +252,40 @@ def _ref_product(a, b, modulus, p):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
+    return _ref_fold(out, modulus, p)
+
+
+def _ref_fold(out, modulus, p):
+    """The coordinates of sum(out[k] x^k), k < 2f - 1, mod the modulus and p."""
+    f = len(modulus) - 1
+    out = list(out)
     for k in range(2 * f - 2, f - 1, -1):   # x^k = x^(k-f) * (x^f - modulus)
         c = out.pop()
         for i, m in enumerate(modulus[:-1]):
             out[k - f + i] -= c * m
     return tuple(c % p for c in out)
+
+
+@pytest.mark.parametrize("p,f", [(2, 14), (3, 9), (5, 7), (7, 5), (13, 4),
+                                 (17, 4), (31, 3), (37, 3), (1021, 2)])
+def test_packed_reduce_at_every_width(p, f):
+    """``reduce`` of 2f - 1 digits as large as a width allows, for widths of
+    one to 34 bytes: each side of every choice between reading all digits
+    as one base-p numeral (f >= 4, p <= 36, one-byte digits, or two bytes
+    when p = 2 or p | 255) and the digit loop."""
+    fld = build_field(p, f)
+    rng = random.Random(p * f)
+    widths = {ffield._width(p, f, k) for k in (1, 5, 40, 3000)} | {80, 272}
+    for width in sorted(widths):
+        _, reduce = ffield._packing(p, f, fld.modulus, width)
+        # the largest digit that reducing, which adds (f - 1)(p - 1)^2, keeps
+        top = (1 << width) - 1 - (f - 1) * (p - 1) ** 2
+        for _ in range(60):
+            digits = [rng.choice((0, top, rng.randrange(top + 1)))
+                      for _ in range(2 * f - 1)]
+            acc = sum(d << i * width for i, d in enumerate(digits))
+            assert fld.from_index(reduce(acc)).coeffs == \
+                _ref_fold(digits, fld.modulus, p)
 
 
 @pytest.mark.parametrize("p,f", [(1021, 2), (3, 12), (2, 20), (5, 8)])

@@ -1,6 +1,8 @@
 """Stored-report tests: full JSON bytes are pinned for a family of
 signed-prime radical extensions, one prime-power radicand (the README
-example) and one extension field given by ``mod=`` and ``gen=``; the
+example), one extension field given by ``mod=`` and ``gen=`` and two
+untabled extension fields (q = 3^10 and 2^16, above ``ffield``'s table
+limit) with two degree-6 radicands each; the
 text report is pinned too where a ``.txt`` file is stored."""
 
 import pathlib
@@ -37,6 +39,8 @@ def test_golden_inventory():
     assert len(JOBS) >= 5
     assert {"signed_prime_q5_l2_T", "signed_prime_q7_l2_T",
             "signed_prime_q13_l2_T", "signed_prime_q13_l3_T",
-            "extension_field_q9_mod_gen"} <= set(JOBS)
-    assert {"prime_power_radicand_q5_m4",
-            "extension_field_q9_mod_gen"} <= set(TEXT_JOBS) <= set(JOBS)
+            "extension_field_q9_mod_gen", "untabled_extension_q3f10_deg6",
+            "untabled_extension_q2f16_deg6"} <= set(JOBS)
+    assert {"prime_power_radicand_q5_m4", "extension_field_q9_mod_gen",
+            "untabled_extension_q3f10_deg6",
+            "untabled_extension_q2f16_deg6"} <= set(TEXT_JOBS) <= set(JOBS)

@@ -16,7 +16,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genusfields import Poly, gcd, pow_mod
+from genusfields import Poly, build_field, gcd, pow_mod
 from genusfields import ffield, kernel
 
 from conftest import fields_at_table_limit
@@ -24,6 +24,9 @@ from conftest import fields_at_table_limit
 KEYS = ((2, 1), (2, 2), (2, 3), (3, 2), (13, 1), (65537, 1))
 TABLED = fields_at_table_limit(ffield._TABLE_LIMIT, KEYS)
 UNTABLED = fields_at_table_limit(1, KEYS)
+# untabled at the default limit; the fields of
+# test_ffield.py::test_packed_arithmetic_at_widest_digits
+WIDEST = ((2, 20), (3, 12), (5, 8), (1021, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +93,18 @@ def _elems(fld, codes):
 
 
 def test_paths_are_as_intended():
+    """Tabled extension fields prepare rows as logs, untabled ones as one
+    packed int, and prime fields as the residues themselves."""
     for key in KEYS:
-        assert TABLED[key] == UNTABLED[key]
+        tabled, untabled = TABLED[key], UNTABLED[key]
+        assert tabled == untabled
         if key[1] > 1:
-            assert TABLED[key]._log is not None
-            assert UNTABLED[key]._log is None
+            assert tabled._log is not None
+            assert untabled._log is None
+            assert tabled._rows(3)[1]([tabled._one]) == [0]
+            assert isinstance(untabled._rows(3)[1]([untabled._one]), int)
+        else:
+            assert tabled._rows(3)[1] is tuple and untabled._rows(3)[1] is tuple
 
 
 @pytest.mark.parametrize("fields", [TABLED, UNTABLED], ids=["tabled", "untabled"])
@@ -152,3 +162,78 @@ def test_untabled_agrees_with_tabled(case):
             out.append(pow_mod(A, e, B))
         results.append([P.codes for P in out])
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# the packed form at its widest slots: every coordinate p - 1, so each digit
+# of a product reaches the bound its width is chosen for
+
+def _top_product(fld, na, nb):
+    """The product of na and of nb coefficients q - 1, coefficient by
+    coefficient: (q - 1)^2 times the number of pairs i + j = k."""
+    sq = fld.from_index(fld.q - 1) ** 2
+    return [sq * fld.const(min(k, na - 1, nb - 1, na + nb - 2 - k) + 1)
+            for k in range(na + nb - 1)]
+
+
+def _key_id(key):
+    return f"{key[0]}^{key[1]}"
+
+
+@pytest.mark.parametrize("key", WIDEST, ids=_key_id)
+def test_packed_kernel_at_widest_slots(key):
+    fld = build_field(*key)
+    assert fld.q > ffield._TABLE_LIMIT
+    top = fld.from_index(fld.q - 1)
+    ea, eb = [top] * 400, [top] * 150
+    A, B = Poly(fld, ea), Poly(fld, eb)
+    assert list((A * B).coeffs) == _trim(_top_product(fld, 400, 150))
+    assert list(gcd(A, B).coeffs) == ref_gcd(fld, ea, eb)
+    ec, em = [top] * 250, [top] * 149 + [fld.one]
+    quo, rem = divmod(Poly(fld, ec), Poly(fld, em))
+    assert (list(quo.coeffs), list(rem.coeffs)) == ref_divmod(fld, ec, em)
+    ev, em = [top] * 149, [top] * 150 + [fld.one]
+    assert list(pow_mod(Poly(fld, ev), 2, Poly(fld, em)).coeffs) == \
+        ref_divmod(fld, _top_product(fld, 149, 149), em)[1]
+
+
+def test_slot_width_follows_operand_length():
+    """A product of 600 coefficients by 600 over 5^8 puts 600 row updates
+    on a coefficient: its digits need 17 bits, more than the 16 of any
+    large_field job or degree-36 pow_mod step (72 updates), so it takes a
+    wider slot; with the narrower slot its digits would overflow."""
+    fld = build_field(5, 8)
+    assert ffield._width(5, 8, 600) > ffield._width(5, 8, 72) == 16
+    top = fld.from_index(fld.q - 1)
+    A = Poly(fld, [top] * 600)
+    assert list((A * A).coeffs) == _trim(_top_product(fld, 600, 600))
+    assert ffield._width(5, 8, 600) in fld._packs
+
+
+@pytest.mark.parametrize("fields", [TABLED, UNTABLED], ids=["tabled", "untabled"])
+def test_moduli_are_prepared_once(fields, monkeypatch):
+    """pow_mod, frobenius_rows and rabin_holds prepare their modulus once,
+    however many reductions they make."""
+    fld = fields[(3, 2)]
+    calls, prepare = [], kernel._divisor
+
+    def counted(F, b, *args, **kwargs):
+        calls.append(b)
+        return prepare(F, b, *args, **kwargs)
+    monkeypatch.setattr(kernel, "_divisor", counted)
+    one, g = fld._one, fld.g.code
+    m = [g, one, 0, g, one]   # g + x + g x^3 + x^4; any monic m will do
+    x = [0, one]
+    kernel.pow_mod(fld, x, fld.q ** 3, m)
+    assert calls == [m]
+    xq = kernel.pow_mod(fld, x, fld.q, m)
+    calls.clear()
+    kernel.frobenius_rows(fld, xq, m)
+    assert calls == [m]
+    h = kernel.mul(fld, m, [g, one])   # powers of x mod a multiple of m
+    frob = kernel.frobenius_powers(fld, h)
+    for j in range(5):
+        frob(j)
+    calls.clear()
+    kernel.rabin_holds(fld, m, frob)
+    assert calls.count(m) == 1
