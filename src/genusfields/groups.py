@@ -2,20 +2,20 @@
 
 A subgroup spanned by generator rows A is the image of the lattice
 L = rowspace(A) + M * Z^d, and membership, order, containment,
-invariant factors and the constant line are all lattice arithmetic over
-Z on one form of L.  :func:`smith_normal_form` builds it: integer
-elimination on the rows of A stacked over I_d gives A V = U^-1 diag(a),
-with U and V unimodular, V the last d rows of the stack and a padded
-with zeros to length d.  So L V = (+)_j (a_j Z + M Z) = (+)_j s_j Z with
-s_j = gcd(a_j, M), where gcd(0, M) = M keeps the chain
-s_1 | s_2 | ... | M.  The form keeps the s_j and each column of V
-reduced mod its s_j.  That is exact: membership reads (v V)_j only mod
-s_j, and the constant line only gcd(s_j, V[0][j]).  V's own entries
-reach 81 bits on 60 jobs of the wide_basis benchmark.  Each group's form
-is built once and cached, and the cache keeps the last 64 forms.
-
-Pivoting is deterministic: the entry of smallest nonzero absolute
-value, ties broken by row-major position.
+invariant factors and the constant line are all lattice arithmetic on
+one form of L: a matrix V, invertible mod M, and s_1 | s_2 | ... | s_d | M
+with L V = (+)_j s_j Z.  :func:`smith_normal_form` builds it locally.
+For each prime power p^e exactly dividing M it eliminates the rows of A
+mod p^e.  Each pivot is the first entry, in row-major order, of least
+p-adic valuation v, so it divides every remaining entry of its row and
+column, and each step clears them with exact quotients; the diagonal
+entry is p^v, padded with p^e.  The column operations act on V alone,
+whose entries stay below p^e.  The Chinese remainder theorem joins the
+primes: s_j = prod_p p^(v_p,j), and column j of V is the sum of each
+prime's column j times its idempotent (1 mod p^e, 0 mod M / p^e),
+reduced mod s_j, which is all that membership and the constant line
+read.  A prime with v_p,j = 0 adds nothing there.  Each group's form is
+built once and cached, and the cache keeps the last 64 forms.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
+from .intmath import prime_factors
+
 
 # ---------------------------------------------------------------------------
 # the lattice form
@@ -35,77 +37,63 @@ from operator import mul
 LatticeForm = namedtuple("LatticeForm", "diag columns")
 
 
-def _find_pivot(S, t, m, n):
-    best = None
-    where = None
-    for i in range(t, m):
-        for j in range(t, n):
-            a = S[i][j]
-            if a != 0 and (best is None or abs(a) < best):
-                best = abs(a)
-                where = (i, j)
-    return where
+def _local_form(rows, n, p, q):
+    """The diagonal p^(v_j) and the columns of V for the rows mod
+    q = p^e (see the module docstring)."""
+    S = [r for r in ([x % q for x in row] for row in rows) if any(r)]
+    V = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)]
+    diag = []
+    d = 1
+    for t in range(min(len(S), n)):
+        while d < q:
+            piv = next(((i, j) for i in range(t, len(S)) for j in range(t, n)
+                        if S[i][j] % (d * p)), None)
+            if piv:
+                break
+            d *= p
+        if d == q:
+            break
+        i, j = piv
+        S[t], S[i] = S[i], S[t]
+        if j != t:
+            for row in S[t:]:
+                row[t], row[j] = row[j], row[t]
+            V[t], V[j] = V[j], V[t]
+        top = S[t]
+        inv = pow(top[t] // d, -1, q)
+        for row in S[t + 1:]:
+            c = row[t] // d * inv % q
+            if c:
+                row[t:] = [(a - c * b) % q for a, b in zip(row[t:], top[t:])]
+        for j in range(t + 1, n):
+            c = top[j] // d * inv % q
+            if c:
+                V[j] = [(a - c * b) % q for a, b in zip(V[j], V[t])]
+        diag.append(d)
+    return diag + [q] * (n - len(diag)), V
 
 
 def smith_normal_form(matrix, modulus) -> LatticeForm:
     """The form of L = rowspace(matrix) + modulus * Z^n (see the module
-    docstring).  The elimination runs on the m matrix rows stacked over
-    I_n, so every column operation also builds V, the last n rows."""
-    S = [list(map(int, row)) for row in matrix]
-    m = len(S)
-    n = len(S[0]) if m else 0
-    if any(len(row) != n for row in S):
+    docstring)."""
+    rows = [list(map(int, row)) for row in matrix]
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix rows must have equal length")
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    S += [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def add_row(dst, src, mult):
-        S[dst] = [a + mult * b for a, b in zip(S[dst], S[src])]
-
-    def add_col(dst, src, mult):
-        for row in S:
-            row[dst] += mult * row[src]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in S:
-                row[i], row[j] = row[j], row[i]
-
-    for t in range(min(m, n)):
-        piv = _find_pivot(S, t, m, n)
-        if piv is None:
-            break
-        while True:
-            S[t], S[piv[0]] = S[piv[0]], S[t]
-            swap_cols(t, piv[1])
-            a = S[t][t]
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    add_row(i, t, -(S[i][t] // a))
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    add_col(j, t, -(S[t][j] // a))
-            if any(S[i][t] for i in range(t + 1, m)) or \
-               any(S[t][j] for j in range(t + 1, n)):
-                piv = _find_pivot(S, t, m, n)
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % a != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)
-            piv = (t, t)
-
-    diag = tuple(gcd(S[i][i] if i < m else 0, modulus) for i in range(n))
-    return LatticeForm(diag, tuple(tuple(x % s for x in col)
-                                   for s, col in zip(diag, zip(*S[m:]))))
+    diag = [1] * n
+    columns = [[0] * n for _ in range(n)]
+    for p in prime_factors(modulus):
+        q = gcd(modulus, p ** modulus.bit_length())
+        unit = modulus // q * pow(modulus // q, -1, q)  # the idempotent
+        local, V = _local_form(rows, n, p, q)
+        for j, t in enumerate(local):
+            if t > 1:
+                diag[j] *= t
+                columns[j] = [a + unit * b for a, b in zip(columns[j], V[j])]
+    return LatticeForm(tuple(diag), tuple(tuple(x % s for x in col)
+                                          for s, col in zip(diag, columns)))
 
 
 # ---------------------------------------------------------------------------

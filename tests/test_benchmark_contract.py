@@ -3,12 +3,13 @@
 ``perfbench/tracer.py`` wraps the functions its ``TIMED`` table names and
 the ``FqElem`` operators, reading each from its owner's ``__dict__``, and
 ``perfbench/worker.py`` clears and reads the SNF cache of
-``groups._lattice_form``.  A worker job is ``Runner.job``: ``parse_input``,
-``dataclasses.replace`` of the ``JobConfig`` fields it sets, ``run`` and
-``Report.to_json``.  A refactor that renames or moves any of them breaks
-the benchmark run; these tests catch it in the suite.  One more test
-guards the traffic the benchmark's jobs put on the ``FqElem`` operators:
-none.
+``groups._lattice_form``; every form the cache builds goes through the
+module-level ``groups.smith_normal_form`` that the tracer times.  A worker
+job is ``Runner.job``: ``parse_input``, ``dataclasses.replace`` of the
+``JobConfig`` fields it sets, ``run`` and ``Report.to_json``.  A refactor
+that renames or moves any of them breaks the benchmark run; these tests
+catch it in the suite.  One more test guards the traffic the benchmark's
+jobs put on the ``FqElem`` operators: none.
 """
 
 import dataclasses
@@ -92,6 +93,30 @@ def test_job_path_runs_no_element_arithmetic(monkeypatch):
 def test_snf_cache_is_inspectable():
     assert callable(groups._lattice_form.cache_info)
     assert callable(groups._lattice_form.cache_clear)
+
+
+def test_traced_snf_sees_every_form(monkeypatch):
+    """Every form the SNF cache misses is built through the module-level
+    ``groups.smith_normal_form`` that the tracer rebinds, so its traced
+    call count cannot read 0 while forms are built by a helper."""
+    workloads = load(monkeypatch, "workloads")
+    calls = []
+
+    def counted(*args, original=groups.smith_normal_form):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(groups, "smith_normal_form", counted)
+    groups._lattice_form.cache_clear()
+    try:
+        for name in ("wide_basis", "corpus"):
+            for text in next(workloads.WORKLOADS[name](1)):
+                config = dataclasses.replace(
+                    report.parse_input(text), fmt="json",
+                    include_infinite=True, include_comparison=True)
+                report.run(config).to_json()
+        assert 0 < len(calls) == groups._lattice_form.cache_info().misses
+    finally:
+        groups._lattice_form.cache_clear()
 
 
 def test_worker_job_replays_the_cli(worker):

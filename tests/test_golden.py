@@ -2,8 +2,12 @@
 signed-prime radical extensions, one prime-power radicand (the README
 example), one extension field given by ``mod=`` and ``gen=`` and two
 untabled extension fields (q = 3^10 and 2^16, above ``ffield``'s table
-limit) with two degree-6 radicands each; the
-text report is pinned too where a ``.txt`` file is stored."""
+limit) with two degree-6 radicands each, and two jobs of the first
+seed-1 ``wide_basis`` benchmark round (8 components over F_37 with
+M = 36 = 2^2 * 3^2, and 10 components over F_181 with M = 180), whose
+groups have many components, many primes and a modulus with several
+prime powers; the text report is pinned too where a ``.txt`` file is
+stored."""
 
 import pathlib
 
@@ -40,7 +44,9 @@ def test_golden_inventory():
     assert {"signed_prime_q5_l2_T", "signed_prime_q7_l2_T",
             "signed_prime_q13_l2_T", "signed_prime_q13_l3_T",
             "extension_field_q9_mod_gen", "untabled_extension_q3f10_deg6",
-            "untabled_extension_q2f16_deg6"} <= set(JOBS)
+            "untabled_extension_q2f16_deg6", "wide_basis_q37_8comp",
+            "wide_basis_q181_10comp"} <= set(JOBS)
     assert {"prime_power_radicand_q5_m4", "extension_field_q9_mod_gen",
-            "untabled_extension_q3f10_deg6",
-            "untabled_extension_q2f16_deg6"} <= set(TEXT_JOBS) <= set(JOBS)
+            "untabled_extension_q3f10_deg6", "untabled_extension_q2f16_deg6",
+            "wide_basis_q37_8comp",
+            "wide_basis_q181_10comp"} <= set(TEXT_JOBS) <= set(JOBS)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm, prod
 
 import pytest
@@ -43,6 +43,24 @@ def minors_gcd(A, k) -> int:
                  for rs in combinations(rows, k) for cs in combinations(cols, k)))
 
 
+# the q - 1 of the benchmark fields: pivots of high valuation (2^16,
+# 2^3 * 11^2 * 61) and large primes (131071)
+BENCHMARK_MODULI = [36, 180, 59048, 65535, 65536, 131071, 177146]
+
+
+def composite_group(rng):
+    """A random subgroup of at most 2^12 elements over a modulus of two or
+    three primes, whose answers read columns joined over those primes."""
+    while True:
+        modulus = rng.choice([30, 36, 60, 180])
+        dim = rng.randint(1, 2)
+        if modulus ** dim <= 1 << 12:
+            break
+    gens = [tuple(rng.randrange(modulus) for _ in range(dim))
+            for _ in range(rng.randint(0, 3))]
+    return RadicandGroup.spanned_by(modulus, dim, gens)
+
+
 def test_snf_examples():
     assert smith_normal_form([[2, 0], [0, 2]], 4).diag == (2, 2)
     assert smith_normal_form([[4, 2], [0, 4]], 16).diag == (2, 8)
@@ -59,7 +77,8 @@ def test_snf_transform_properties():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         A = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        M = rng.choice([1, 12, 60, 360, 5040, rng.randint(2, 400)])
+        M = rng.choice([1, 12, 60, 360, 5040, rng.randint(2, 400)]
+                       + BENCHMARK_MODULI)
         form = smith_normal_form(A, M)
         diag = form.diag
         assert len(diag) == len(form.columns) == n
@@ -77,11 +96,12 @@ def test_snf_transform_properties():
 
 
 def test_lattice_form_matches_stacked_lattice():
-    # the Smith form of the generator rows alone, each entry replaced by
-    # gcd(a_j, M), against the Smith form of the generators stacked on M * I
+    # the form of the generator rows alone against the form of the
+    # generators stacked on M * I: both are forms of the same lattice
     rng = random.Random(17)
     for t in range(240):
-        M = rng.choice([1, 2, 12, 60, 360, 720, 5040, rng.randint(2, 400)])
+        M = rng.choice([1, 2, 12, 60, 360, 720, 5040, rng.randint(2, 400)]
+                       + BENCHMARK_MODULI)
         d = rng.randint(1, 9)
         k = (0, d + rng.randint(1, 4), rng.randint(1, d))[t % 3]
         gens = tuple(tuple(rng.randrange(M) for _ in range(d)) for _ in range(k))
@@ -140,8 +160,8 @@ def element_order(vec, M):
 
 def test_engine_against_enumeration():
     rng = random.Random(12)
-    for _ in range(150):
-        G = random_group(rng)
+    for G in chain((random_group(rng) for _ in range(150)),
+                   (composite_group(rng) for _ in range(40))):
         elems = enumerate_subgroup(G)
         assert G.order() == len(elems)
         assert torsion_counts_match(G, elems)
@@ -219,8 +239,8 @@ def test_image_order_against_enumeration():
 
 def test_constant_subgroup_order_against_enumeration():
     rng = random.Random(16)
-    for _ in range(60):
-        G = random_group(rng)
+    for G in chain((random_group(rng) for _ in range(60)),
+                   (composite_group(rng) for _ in range(40))):
         elems = enumerate_subgroup(G)
         M = G.modulus
         best = 1
