@@ -20,9 +20,10 @@ into a code.  :class:`FqElem` wraps a code and computes with it, as do the
 generator search, the table build and the baby-step search.
 
 The polynomial loops of :mod:`kernel` run through three operations a
-field binds on first use: ``_mul``, ``_pow`` and ``_rows(k)``, the
-accumulator operations for at most k row updates per coefficient
-(:meth:`FqField._bind`).  Each field has one of three forms:
+field binds on first use: ``_mul``, ``_pow`` and ``_rows(k, size)``,
+the accumulator operations for at most k row updates per coefficient on
+rows or accumulators of ``size`` coefficients (:meth:`FqField._bind`).
+There are four forms:
 
 - prime fields accumulate residues in a list;
 - extension fields with q <= ``_TABLE_LIMIT`` = 2^13 when the field is
@@ -34,6 +35,13 @@ accumulator operations for at most k row updates per coefficient
   zero.  In characteristic 2 a row update XORs codes; for odd p,
   ``_zech[k]`` is the log of 1 + g^k (the Zech logarithm), or 2(q-1)
   when that is zero.  Element arithmetic never builds the tables;
+- on those two kinds of field, when a lane fits in one byte (p = 2 with
+  q <= 256; odd p with f * bitlen(2p - 2) <= 8: the prime fields up to
+  F_127, F_9, F_25 and F_49), rows of at least ``_LANE_ROW``
+  coefficients are ``bytes`` of lanes (:func:`_lane_rows`): c * row is
+  one ``bytes.translate``, and a row update adds or XORs the whole slice
+  as one int.  A shorter row keeps the list, which costs less to load
+  and store than the lanes save;
 - other extension fields pack a whole polynomial into one int
   (Kronecker substitution): coefficient i is slot i, 2f - 1 digits wide,
   and the digit width is chosen per call from k (:func:`_width`), so a
@@ -41,9 +49,16 @@ accumulator operations for at most k row updates per coefficient
   once, when it is read or stored.  Each width's pack tables and folds
   are kept on the field.
 
-The limit is where a job stopped earning back its q table entries before
-whole polynomials were packed: with two random degree-6 radicands per
-job, tables won up to 2^13 and 3^8 and lost from 2^14 and 3^9.
+So the form of a call follows the field and ``size``, and the packed
+width k; a row prepared by ``_rows(k, size)`` is only read by the
+operations of the same choice.  The table limit is where a job stopped
+earning back its q table entries before whole polynomials were packed:
+with two random degree-6 radicands per job, tables won up to 2^13 and
+3^8 and lost from 2^14 and 3^9.  ``_LANE_ROW`` is the middle of the
+lengths (6 to 16) at which byte lanes ran fastest end to end on the
+factoring of degree-24 to 36 radicands over F_13, F_9 and F_8; the
+acceptance-style jobs, whose rows have at most 7 coefficients, keep the
+lists.
 
 Discrete logarithms are always taken to the canonical generator: read
 from ``_log`` on tabled fields.  Other fields, prime ones included, keep
@@ -280,18 +295,122 @@ def build_field(p: int, f: int, *, modulus=None, generator=None) -> "FqField":
 
 
 _CODE_OPS = ("_mul", "_pow", "_rows")
+# rows or accumulators of at least this many coefficients take byte lanes
+# where a lane fits in one byte (see the module docstring)
+_LANE_ROW = 10
 
 
 def _list_rows(prep, axpy):
-    """``_rows`` of a list accumulator, the same for every k."""
+    """The accumulator operations of a list of codes or logs."""
     def load(a, n):
         return [*a, *[0] * (n - len(a))] if n > len(a) else list(a)
 
     def store(acc, n):
         del acc[n:]
         return acc
-    rows = (load, prep, axpy, getitem, store)
-    return lambda k: rows
+    return load, prep, axpy, getitem, store
+
+
+class _Lazy(dict):
+    """A dict that fills a missing key k with ``build(k)``."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _sized_rows(p, f, mul, short):
+    """``_rows(k, size)`` of a prime or tabled field: the list operations
+    ``short``, but byte lanes for a size of at least ``_LANE_ROW`` where a
+    lane fits in one byte.  The lanes are built on first use."""
+    bits = (2 * p - 2).bit_length() if p > 2 else 1
+    if f * bits > 8:
+        return lambda k, size: short
+    lanes = []
+
+    def rows(k, size):
+        if size < _LANE_ROW:
+            return short
+        if not lanes:
+            lanes.append(_lane_rows(p, f, bits, mul))
+        return lanes[0]
+    return rows
+
+
+def _lane_rows(p, f, bits, mul):
+    """The byte-lane accumulator operations of F_(p^f), for f * bits <= 8.
+    A row is ``bytes``, one lane per coefficient, and an accumulator a
+    ``bytearray``.  For p = 2 (bits = 1) the lane is the code and a sum
+    XORs lanes.  For odd p the lane spreads the code's base-p digits over
+    fields of bits = bitlen(2p - 2), so two lanes add as integers without a
+    carry out of any field, and a ``translate`` reduces each field mod p;
+    on prime fields that lane is the code.  c * row is ``row.translate``
+    through c's product table, built from ``mul`` when c is first used.
+    ``axpy`` XORs or adds the whole slice as one int."""
+    def spread(digits):   # sum(d_j << bits * j) for each d, lexicographically
+        out = [0]
+        for j in range(f):
+            out = [t + (d << bits * j) for d in digits for t in out]
+        return out
+    lanes = spread(range(p))
+
+    def products(c):
+        out = bytearray(256)
+        for x, lane in enumerate(lanes):
+            out[lane] = lanes[mul(c, x)]
+        return bytes(out)
+    times, to_int = _Lazy(products), int.from_bytes
+
+    if p == 2 or f == 1:   # the lane is the code
+        def prep(b):
+            return bytes(b)
+
+        def load(a, n):
+            return bytearray(a).ljust(n, b"\0")
+
+        def store(acc, n):
+            return list(acc[:n])
+        read = getitem
+    else:
+        to_lane, to_code = bytearray(256), bytearray(256)
+        to_lane[:len(lanes)] = lanes
+        for x, lane in enumerate(lanes):
+            to_code[lane] = x
+
+        def prep(b):
+            return bytes(b).translate(to_lane)
+
+        def load(a, n):
+            return bytearray(a).translate(to_lane).ljust(n, b"\0")
+
+        def read(acc, i):
+            return to_code[acc[i]]
+
+        def store(acc, n):
+            return list(acc[:n].translate(to_code))
+
+    if p == 2:
+        def axpy(acc, off, c, row):
+            end = off + len(row)
+            acc[off:end] = (to_int(acc[off:end], "little") ^ to_int(
+                row.translate(times[c]), "little")).to_bytes(end - off, "little")
+            return acc
+    else:
+        reduced = bytes(spread([v % p for v in range(1 << bits)])).ljust(256, b"\0")
+
+        def axpy(acc, off, c, row):
+            end = off + len(row)
+            acc[off:end] = (to_int(acc[off:end], "little") + to_int(
+                row.translate(times[c]), "little")).to_bytes(
+                    end - off, "little").translate(reduced)
+            return acc
+    return load, prep, axpy, read, store
 
 
 class FqField:
@@ -400,10 +519,13 @@ class FqField:
 
     def _bind(self):
         """Bind the operations the kernel loops read: ``_mul``, ``_pow`` and
-        ``_rows(k)``, the accumulator operations of :mod:`kernel` for at
-        most k row updates per coefficient.  Prime and tabled fields
-        accumulate in a list and ignore k (:func:`_list_rows`); the others
-        in one packed int (:meth:`_packed_rows`)."""
+        ``_rows(k, size)``, the accumulator operations of :mod:`kernel` for
+        at most k row updates per coefficient on rows or accumulators of
+        ``size`` coefficients.  Untabled extension fields pack a whole
+        polynomial into one int (:meth:`_packed_rows`) and ignore size.
+        Prime and tabled fields accumulate in a list and ignore k
+        (:func:`_list_rows`); on those whose lanes fit a byte, a size of
+        at least ``_LANE_ROW`` takes byte lanes (:func:`_lane_rows`)."""
         p, n = self.p, self.q - 1
         self._mul, self._pow = self._ops[:2]
         if self.f == 1:
@@ -411,7 +533,7 @@ class FqField:
                 end = off + len(b)
                 out[off:end] = [(o + c * x) % p for o, x in zip(out[off:end], b)]
                 return out
-            self._rows = _list_rows(tuple, axpy)
+            self._rows = _sized_rows(p, 1, self._mul, _list_rows(tuple, axpy))
             return
         if not self._tables():
             self._rows = self._packed_rows
@@ -437,12 +559,14 @@ class FqField:
                 return out
         self._mul = lambda a, b: exp[log[a] + log[b]]
         self._pow = lambda a, e: exp[log[a] * e % n]
-        self._rows = _list_rows(lambda b: [log[x] for x in b], axpy)
+        self._rows = _sized_rows(p, self.f, self._mul,
+                                 _list_rows(lambda b: [log[x] for x in b], axpy))
 
-    def _packed_rows(self, k):
-        """``_rows(k)`` on untabled extension fields: one int, coefficient
-        i in slot i of 2f - 1 digits of :func:`_width` bits.  One set per
-        width is kept on the field, sharing the element arithmetic's."""
+    def _packed_rows(self, k, size):
+        """``_rows(k, size)`` on untabled extension fields: one int,
+        coefficient i in slot i of 2f - 1 digits of :func:`_width` bits, at
+        every size.  One set per width is kept on the field, sharing the
+        element arithmetic's."""
         p, f = self.p, self.f
         width = _width(p, f, k)
         rows = self._packs.get(width)

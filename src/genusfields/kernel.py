@@ -5,12 +5,16 @@ term first, with no trailing zeros; the zero polynomial is the empty list.
 The loops never decode a code: they use the field's ``F._mul``, ``F._pow``,
 ``F._int``, ``F._one`` and ``F._minus_one``, and sums, products, divisions
 and Frobenius steps run on an accumulator through the operations
-``load, prep, axpy, read, store = F._rows(k)``: ``axpy(acc, off, c, row)``
-adds c times a polynomial prepared by ``prep`` from coefficient ``off``
-on, ``read`` gives one coefficient's code and ``store`` the first n.  k
-bounds the row updates one coefficient takes, which sets the slot width
-of the packed form; the list forms ignore it.  The field picks the form
-for its size and characteristic.
+``load, prep, axpy, read, store = F._rows(k, size)``: ``axpy(acc, off,
+c, row)`` adds c times a polynomial prepared by ``prep`` from coefficient
+``off`` on, ``read`` gives one coefficient's code and ``store`` the first
+n.  k bounds the row updates one coefficient takes, which sets the slot
+width of the packed form, and ``size`` is the length of the call's rows
+(of its accumulator, for a single update), by which small fields choose
+between lists and byte lanes.  The field picks the form from its size and
+characteristic and these two numbers, so a prepared row must be read only
+by operations chosen with the same k and ``size``: each function here
+prepares and reads its rows under one choice.
 
 Long division reads the top coefficient and makes one row update per
 step.  A divisor is prepared once (:func:`_divisor`) for any number of
@@ -43,8 +47,8 @@ def trim(a: list) -> list:
 
 def _update(F, a, c, b):
     """a + c * b for a nonzero code c, as one row update."""
-    load, prep, axpy, _, store = F._rows(1)
     n = len(a) if len(a) > len(b) else len(b)
+    load, prep, axpy, _, store = F._rows(1, n)
     return trim(store(axpy(load(a, n), 0, c, prep(b)), n))
 
 
@@ -68,7 +72,7 @@ def mul(F, a, b):
     if not a or not b:
         return []
     n = len(a) + len(b) - 1
-    load, prep, axpy, _, store = F._rows(len(a))
+    load, prep, axpy, _, store = F._rows(len(a), len(b))
     return store(_mul_into(axpy, load((), n), a, prep(b)), n)
 
 
@@ -78,13 +82,13 @@ def _divisor(F, b, k, repeated=False):
     1/lc(b) (None if lc(b) is one) and t * row = -b/lc(b) below its
     leading term.  A ``repeated`` divisor's row is -b/lc(b) itself, so its
     division steps take no product."""
-    times, one = F._mul, F._one
+    times, one, db = F._mul, F._one, len(b) - 1
     inv = None if b[-1] == one else F._pow(b[-1], -1)
     neg = F._minus_one if inv is None else times(inv, F._minus_one)
-    rows = F._rows(k)
+    rows = F._rows(k, db)
     if repeated and neg != one:
-        return rows, len(b) - 1, inv, one, rows[1]([times(c, neg) for c in b[:-1]])
-    return rows, len(b) - 1, inv, neg, rows[1](b[:-1])
+        return rows, db, inv, one, rows[1]([times(c, neg) for c in b[:-1]])
+    return rows, db, inv, neg, rows[1](b[:-1])
 
 
 def _rem(F, d, acc, top, quo=None):
@@ -186,26 +190,27 @@ def pth_root(F, a):
 
 def frobenius_rows(F, xq, m):
     """The rows x^(iq) mod m, i < deg m, of the Frobenius map v -> v^q on
-    F[x]/(m), from xq = x^q mod m, prepared for ``F._rows(deg m)``.  Row i
-    is row i - 1 times xq, so the build costs deg m - 2 modular products,
-    all reduced by one preparation of m."""
+    F[x]/(m), from xq = x^q mod m, prepared for ``F._rows(deg m, deg m)``.
+    Row i is row i - 1 times xq, so the build costs deg m - 2 modular
+    products, all reduced by one preparation of m."""
     d, rows = _divisor(F, m, 2 * len(m) - 2, repeated=True), [[F._one], xq]
     for _ in range(len(m) - 3):
         rows.append(_mul_mod(F, d, rows[-1], xq))
-    prep = F._rows(len(m) - 1)[1]
-    return [prep(r) for r in rows[:len(m) - 1]]
+    prep = F._rows(d[1], d[1])[1]
+    return [prep(r) for r in rows[:d[1]]]
 
 
 def frobenius(F, rows, v):
     """v^q mod m for v reduced mod m, from the rows of
     :func:`frobenius_rows`: the combination of rows with v's coefficients,
     since Frobenius is F_q-linear (c^q = c on F_q)."""
-    load, _, axpy, _, store = F._rows(len(rows))
-    acc = load((), len(rows))
+    n = len(rows)
+    load, _, axpy, _, store = F._rows(n, n)
+    acc = load((), n)
     for c, row in zip(v, rows):
         if c:
             acc = axpy(acc, 0, c, row)
-    return trim(store(acc, len(rows)))
+    return trim(store(acc, n))
 
 
 def frobenius_powers(F, m):

@@ -3,12 +3,13 @@
 These re-run the package's main invariants on small random corpora:
 discrete-log round trips (tabled, and by search above the table
 limit), refactoring of random polynomials (over the field pool, and
-over 3^9 and 2^14, whose odd-p and p = 2 arithmetic is untabled), the
-subgroup engine against exhaustive enumeration, every cross-check of
-``report._audit`` on random extensions (the two ramification formulas,
-the degree formula, the containment chain, the constant field), the
-fixed-point property of the genus field construction, and byte
-determinism of the JSON report.  The full-size versions live in the
+over 3^9 and 2^14, whose odd-p and p = 2 arithmetic is untabled) and
+of radicands of degree 25 to 50 over F_13, F_9 and F_8 (on byte-lane
+rows), the subgroup engine against exhaustive enumeration, every
+cross-check of ``report._audit`` on random extensions (the two
+ramification formulas, the degree formula, the containment chain, the
+constant field), the fixed-point property of the genus field
+construction, and byte determinism of the JSON report.  The full-size versions live in the
 test suite; this is a quick health check with no test dependencies.
 """
 
@@ -116,6 +117,21 @@ def check_dlog_search(rng, count=50):
     return True
 
 
+def _refactors(f, known, seed) -> bool:
+    """f's factorization lists every polynomial of ``known``, and its
+    factors are irreducible and multiply back to f."""
+    try:
+        found = factor(f, seed=seed)
+    except InternalCheckError:   # a factor that fails its prime certificate
+        return False
+    product = Poly.one(f.field)
+    for P, mult in found:
+        if not is_irreducible(P.poly):
+            return False
+        product = product * P.poly ** mult
+    return product == f and all(k in [P.poly for P, _ in found] for k in known)
+
+
 def check_factor_refactors(rng, count=80, keys=FIELD_POOL, max_deg=8):
     """Each polynomial is a random multiple of a linear factor, which its
     factorization must list; the factors are irreducible and multiply back."""
@@ -123,16 +139,21 @@ def check_factor_refactors(rng, count=80, keys=FIELD_POOL, max_deg=8):
         field = pooled_field(*rng.choice(keys))
         linear = Poly(field, [field.from_index(rng.randrange(field.q)), field.one])
         f = random_monic(field, rng, max_deg - 1) * linear
-        try:
-            found = factor(f, seed=rng.randrange(1 << 30))
-        except InternalCheckError:   # a factor that fails its prime certificate
+        if not _refactors(f, [linear], rng.randrange(1 << 30)):
             return False
-        product = Poly.one(field)
-        for P, mult in found:
-            if not is_irreducible(P.poly):
-                return False
-            product = product * P.poly ** mult
-        if product != f or linear not in [P.poly for P, _ in found]:
+    return True
+
+
+def check_long_refactors(rng):
+    """T^t - g times T + 1 over F_13, F_9 and F_8, factored on byte-lane
+    rows.  T^t - g is irreducible because every prime factor of t divides
+    the order q - 1 of the generator g, and q = 1 mod 4 when 4 | t
+    (Lidl and Niederreiter, Theorem 3.75)."""
+    for (p, f), t in (((13, 1), 24), ((3, 2), 32), ((2, 3), 49)):
+        field = pooled_field(p, f)
+        binomial = Poly(field, [-field.g] + [field.zero] * (t - 1) + [field.one])
+        linear = Poly(field, [field.one, field.one])
+        if not _refactors(binomial * linear, [binomial, linear], rng.randrange(1 << 30)):
             return False
     return True
 
@@ -187,6 +208,7 @@ def run_selftest(seed: int = 0, write=print) -> bool:
          lambda: check_factor_refactors(random.Random(seed), 4, ((3, 9),), 5)),
         ("untabled p = 2 refactors",
          lambda: check_factor_refactors(random.Random(seed), 4, ((2, 14),), 5)),
+        ("degree 25 to 50 refactors", lambda: check_long_refactors(random.Random(seed))),
         ("subgroup engine vs enumeration", lambda: check_group_engine(rng)),
         ("extension pipeline invariants", lambda: check_extension_pipeline(rng)),
         ("report determinism", lambda: check_report_determinism(rng)),

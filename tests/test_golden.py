@@ -6,8 +6,10 @@ limit) with two degree-6 radicands each, and two jobs of the first
 seed-1 ``wide_basis`` benchmark round (8 components over F_37 with
 M = 36 = 2^2 * 3^2, and 10 components over F_181 with M = 180), whose
 groups have many components, many primes and a modulus with several
-prime powers; the text report is pinned too where a ``.txt`` file is
-stored."""
+prime powers, and three high-degree trinomials as in the
+``high_degree`` benchmark slots (T^24+T+1 over F_13, T^32+g*T+g over F_9
+and T^36+g*T+g over F_8), whose factoring runs on byte-lane rows; the
+text report is pinned too where a ``.txt`` file is stored."""
 
 import pathlib
 
@@ -45,8 +47,10 @@ def test_golden_inventory():
             "signed_prime_q13_l2_T", "signed_prime_q13_l3_T",
             "extension_field_q9_mod_gen", "untabled_extension_q3f10_deg6",
             "untabled_extension_q2f16_deg6", "wide_basis_q37_8comp",
-            "wide_basis_q181_10comp"} <= set(JOBS)
+            "wide_basis_q181_10comp", "high_degree_q13_deg24",
+            "high_degree_q9_deg32", "high_degree_q8_deg36"} <= set(JOBS)
     assert {"prime_power_radicand_q5_m4", "extension_field_q9_mod_gen",
             "untabled_extension_q3f10_deg6", "untabled_extension_q2f16_deg6",
-            "wide_basis_q37_8comp",
-            "wide_basis_q181_10comp"} <= set(TEXT_JOBS) <= set(JOBS)
+            "wide_basis_q37_8comp", "wide_basis_q181_10comp",
+            "high_degree_q13_deg24", "high_degree_q9_deg32",
+            "high_degree_q8_deg36"} <= set(TEXT_JOBS) <= set(JOBS)

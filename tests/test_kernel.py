@@ -7,11 +7,15 @@ written with ``FqElem`` operators, which run on the element arithmetic
 matrix step and the powers x^(q^j) of ``kernel.frobenius_powers``
 against chained ``pow_mod``, on both arithmetic paths of ``ffield``: the
 tabled one and the untabled one, forced by building the fields with
-``_TABLE_LIMIT`` set low.
+``_TABLE_LIMIT`` set low.  On fields whose lanes fit a byte, rows of at
+least ``ffield._LANE_ROW`` coefficients take byte lanes and shorter ones
+lists; the drawn cases reach both, and every kernel operation is run
+on both row forms, forced by moving the crossover, with equal results.
 The fields cover p = 2 and odd p, f = 1 and f > 1.
 """
 
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,10 @@ UNTABLED = fields_at_table_limit(1, KEYS)
 # untabled at the default limit; the fields of
 # test_ffield.py::test_packed_arithmetic_at_widest_digits
 WIDEST = ((2, 20), (3, 12), (5, 8), (1021, 2))
+# byte-lane fields: the widest lanes (2^8, 127 and 7^2, with f * bitlen(2p - 2)
+# = 8) and those of the high-degree benchmark jobs
+LANE_WIDEST = ((2, 8), (127, 1), (7, 2), (3, 2), (2, 3), (13, 1))
+CROSSOVER = ffield._LANE_ROW
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +90,16 @@ def ref_pow_mod(fld, a, e, m):
 
 @st.composite
 def cases(draw):
+    """A key, two code lists and an exponent; in one case of five the lists
+    run past the byte-lane crossover, with a smaller exponent."""
     key = draw(st.sampled_from(KEYS))
     q = key[0] ** key[1]
-    codes = st.lists(st.integers(0, q - 1), max_size=12)
-    return key, draw(codes), draw(codes), draw(st.integers(0, 30))
+    if draw(st.integers(0, 4)):
+        codes, top = st.lists(st.integers(0, q - 1), max_size=12), 30
+    else:
+        codes, top = st.lists(st.integers(0, q - 1), min_size=CROSSOVER,
+                              max_size=2 * CROSSOVER), 4
+    return key, draw(codes), draw(codes), draw(st.integers(0, top))
 
 
 def _elems(fld, codes):
@@ -93,18 +107,35 @@ def _elems(fld, codes):
 
 
 def test_paths_are_as_intended():
-    """Tabled extension fields prepare rows as logs, untabled ones as one
-    packed int, and prime fields as the residues themselves."""
+    """Rows shorter than the crossover are prepared as logs on tabled
+    extension fields and as the residues themselves on prime fields; rows
+    at or above it as bytes of lanes wherever a lane fits a byte (p = 2 with
+    q <= 256, odd p with f * bitlen(2p - 2) <= 8).  Untabled extension
+    fields prepare one packed int at every length, and prime fields with
+    p >= 128 residues."""
+    short, long = CROSSOVER - 1, CROSSOVER
     for key in KEYS:
         tabled, untabled = TABLED[key], UNTABLED[key]
         assert tabled == untabled
+        one = [tabled._one]
         if key[1] > 1:
             assert tabled._log is not None
             assert untabled._log is None
-            assert tabled._rows(3)[1]([tabled._one]) == [0]
-            assert isinstance(untabled._rows(3)[1]([untabled._one]), int)
+            assert tabled._rows(3, short)[1](one) == [0]
+            for n in (short, long):
+                assert isinstance(untabled._rows(3, n)[1](one), int)
         else:
-            assert tabled._rows(3)[1] is tuple and untabled._rows(3)[1] is tuple
+            assert tabled._rows(3, short)[1] is tuple and untabled._rows(3, short)[1] is tuple
+    lanes = [TABLED[key] for key in KEYS if key != (65537, 1)] + \
+        [build_field(*key) for key in ((127, 1), (7, 2), (2, 8))]
+    for fld in lanes:
+        assert isinstance(fld._rows(3, long)[1]([fld._one]), bytes)
+    for key in ((65537, 1), (131, 1)):
+        fld = TABLED.get(key) or build_field(*key)
+        assert fld._rows(3, long)[1] is tuple
+    for key in ((3, 3), (11, 2), (2, 9)):   # a lane would need 9, 10 and 9 bits
+        fld = build_field(*key)
+        assert fld._rows(3, long)[1]([fld._one]) == [0]
 
 
 @pytest.mark.parametrize("fields", [TABLED, UNTABLED], ids=["tabled", "untabled"])
@@ -180,10 +211,9 @@ def _key_id(key):
     return f"{key[0]}^{key[1]}"
 
 
-@pytest.mark.parametrize("key", WIDEST, ids=_key_id)
-def test_packed_kernel_at_widest_slots(key):
-    fld = build_field(*key)
-    assert fld.q > ffield._TABLE_LIMIT
+def _kernel_at_top(fld):
+    """Product, gcd, division and pow_mod on operands of 400 by 150
+    coefficients q - 1, against the schoolbook reference."""
     top = fld.from_index(fld.q - 1)
     ea, eb = [top] * 400, [top] * 150
     A, B = Poly(fld, ea), Poly(fld, eb)
@@ -195,6 +225,50 @@ def test_packed_kernel_at_widest_slots(key):
     ev, em = [top] * 149, [top] * 150 + [fld.one]
     assert list(pow_mod(Poly(fld, ev), 2, Poly(fld, em)).coeffs) == \
         ref_divmod(fld, _top_product(fld, 149, 149), em)[1]
+
+
+@pytest.mark.parametrize("key", WIDEST, ids=_key_id)
+def test_packed_kernel_at_widest_slots(key):
+    fld = build_field(*key)
+    assert fld.q > ffield._TABLE_LIMIT
+    _kernel_at_top(fld)
+
+
+@pytest.mark.parametrize("key", LANE_WIDEST, ids=_key_id)
+def test_lane_kernel_at_widest_lanes(key):
+    """Every coordinate of every coefficient is p - 1, so each lane sum
+    reaches 2p - 2, the most its fields hold without a carry."""
+    fld = build_field(*key)
+    assert isinstance(fld._rows(1, CROSSOVER)[1]([fld._one]), bytes)
+    _kernel_at_top(fld)
+
+
+def _kernel_ops(fld, a, b, m):
+    """Every kernel operation on code lists a, b and the monic m."""
+    frob = kernel.frobenius_powers(fld, m)
+    return (kernel.add(fld, a, b), kernel.sub(fld, a, b), kernel.mul(fld, a, b),
+            kernel.div_mod(fld, a, b), kernel.div_mod(fld, b, m), kernel.gcd(fld, a, b),
+            kernel.pow_mod(fld, a, fld.q + 5, m), [frob(j) for j in range(4)],
+            kernel.rabin(fld, m))
+
+
+@pytest.mark.parametrize("key", [key for key in KEYS if key != (65537, 1)] + [(127, 1)],
+                         ids=_key_id)
+def test_list_rows_agree_with_lanes(key, monkeypatch):
+    """Each kernel operation gives the same codes on list rows and on byte
+    lanes, forced by moving the crossover, at lengths crossover - 1,
+    crossover and 3 x crossover."""
+    fld = TABLED.get(key) or build_field(*key)
+    rng = random.Random(repr(key))
+    for n in (CROSSOVER - 1, CROSSOVER, 3 * CROSSOVER):
+        def codes(k):
+            return [rng.randrange(fld.q) for _ in range(k - 1)] + [rng.randrange(1, fld.q)]
+        a, b, m = codes(2 * n), codes(n), codes(n) + [fld._one]
+        results = []
+        for limit in (1 << 30, 0):   # list rows at every length, then byte lanes
+            monkeypatch.setattr(ffield, "_LANE_ROW", limit)
+            results.append(_kernel_ops(fld, a, b, m))
+        assert results[0] == results[1]
 
 
 def test_slot_width_follows_operand_length():
