@@ -39,9 +39,9 @@ There are four forms:
   q <= 256; odd p with f * bitlen(2p - 2) <= 8: the prime fields up to
   F_127, F_9, F_25 and F_49), rows of at least ``_LANE_ROW``
   coefficients are ``bytes`` of lanes (:func:`_lane_rows`): c * row is
-  one ``bytes.translate``, and a row update adds or XORs the whole slice
-  as one int.  A shorter row keeps the list, which costs less to load
-  and store than the lanes save;
+  one ``bytes.translate`` through c's product table, and a row update
+  adds or XORs the whole slice as one int.  A shorter row keeps the
+  list, which costs less to load and store than the lanes save;
 - other extension fields pack a whole polynomial into one int
   (Kronecker substitution): coefficient i is slot i, 2f - 1 digits wide,
   and the digit width is chosen per call from k (:func:`_width`), so a
@@ -54,11 +54,13 @@ width k; a row prepared by ``_rows(k, size)`` is only read by the
 operations of the same choice.  The table limit is where a job stopped
 earning back its q table entries before whole polynomials were packed:
 with two random degree-6 radicands per job, tables won up to 2^13 and
-3^8 and lost from 2^14 and 3^9.  ``_LANE_ROW`` is the middle of the
-lengths (6 to 16) at which byte lanes ran fastest end to end on the
-factoring of degree-24 to 36 radicands over F_13, F_9 and F_8; the
-acceptance-style jobs, whose rows have at most 7 coefficients, keep the
-lists.
+3^8 and lost from 2^14 and 3^9.  Against packing, fields from 4097 to
+2^13 run such jobs about 2x slower with the tables but degree-16 to 20
+radicands 18-54% faster, so the limit stays.  ``_LANE_ROW`` is the
+middle of the lengths (6 to 16) at which byte lanes ran fastest end to
+end on the factoring of degree-24 to 36 radicands over F_13, F_9 and
+F_8; the acceptance-style jobs, whose rows have at most 7 coefficients,
+keep the lists.
 
 Discrete logarithms are always taken to the canonical generator: read
 from ``_log`` on tabled fields.  Other fields, prime ones included, keep
@@ -311,26 +313,12 @@ def _list_rows(prep, axpy):
     return load, prep, axpy, getitem, store
 
 
-class _Lazy(dict):
-    """A dict that fills a missing key k with ``build(k)``."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-def _sized_rows(p, f, mul, short):
-    """``_rows(k, size)`` of a prime or tabled field: the list operations
+def _sized_rows(F, short):
+    """``_rows(k, size)`` of a prime or tabled field F: the list operations
     ``short``, but byte lanes for a size of at least ``_LANE_ROW`` where a
     lane fits in one byte.  The lanes are built on first use."""
-    bits = (2 * p - 2).bit_length() if p > 2 else 1
-    if f * bits > 8:
+    bits = (2 * F.p - 2).bit_length() if F.p > 2 else 1
+    if F.f * bits > 8:
         return lambda k, size: short
     lanes = []
 
@@ -338,12 +326,12 @@ def _sized_rows(p, f, mul, short):
         if size < _LANE_ROW:
             return short
         if not lanes:
-            lanes.append(_lane_rows(p, f, bits, mul))
+            lanes.append(_lane_rows(F.p, F.f, bits, F._mul, F._gcode))
         return lanes[0]
     return rows
 
 
-def _lane_rows(p, f, bits, mul):
+def _lane_rows(p, f, bits, mul, g):
     """The byte-lane accumulator operations of F_(p^f), for f * bits <= 8.
     A row is ``bytes``, one lane per coefficient, and an accumulator a
     ``bytearray``.  For p = 2 (bits = 1) the lane is the code and a sum
@@ -351,21 +339,23 @@ def _lane_rows(p, f, bits, mul):
     fields of bits = bitlen(2p - 2), so two lanes add as integers without a
     carry out of any field, and a ``translate`` reduces each field mod p;
     on prime fields that lane is the code.  c * row is ``row.translate``
-    through c's product table, built from ``mul`` when c is first used.
-    ``axpy`` XORs or adds the whole slice as one int."""
+    through c's product table ``times[c]``: only g's table ``step`` takes
+    products by ``mul``, and the table of g^(i+1) is g^i's translated
+    through ``step``.  ``axpy`` XORs or adds the whole slice as one int."""
     def spread(digits):   # sum(d_j << bits * j) for each d, lexicographically
         out = [0]
         for j in range(f):
             out = [t + (d << bits * j) for d in digits for t in out]
         return out
     lanes = spread(range(p))
-
-    def products(c):
-        out = bytearray(256)
-        for x, lane in enumerate(lanes):
-            out[lane] = lanes[mul(c, x)]
-        return bytes(out)
-    times, to_int = _Lazy(products), int.from_bytes
+    to_code, step = bytearray(256), bytearray(256)
+    for x, lane in enumerate(lanes):
+        to_code[lane], step[lane] = x, lanes[mul(g, x)]
+    times, table = [bytes(256)] * len(lanes), bytes(step)
+    one, to_int = lanes[p ** (f - 1)], int.from_bytes
+    for _ in lanes[1:]:   # table is g^i's: at the lane of 1 it holds g^i's lane
+        times[to_code[table[one]]] = table
+        table = table.translate(step)
 
     if p == 2 or f == 1:   # the lane is the code
         def prep(b):
@@ -378,10 +368,8 @@ def _lane_rows(p, f, bits, mul):
             return list(acc[:n])
         read = getitem
     else:
-        to_lane, to_code = bytearray(256), bytearray(256)
+        to_lane = bytearray(256)
         to_lane[:len(lanes)] = lanes
-        for x, lane in enumerate(lanes):
-            to_code[lane] = x
 
         def prep(b):
             return bytes(b).translate(to_lane)
@@ -533,7 +521,7 @@ class FqField:
                 end = off + len(b)
                 out[off:end] = [(o + c * x) % p for o, x in zip(out[off:end], b)]
                 return out
-            self._rows = _sized_rows(p, 1, self._mul, _list_rows(tuple, axpy))
+            self._rows = _sized_rows(self, _list_rows(tuple, axpy))
             return
         if not self._tables():
             self._rows = self._packed_rows
@@ -559,8 +547,7 @@ class FqField:
                 return out
         self._mul = lambda a, b: exp[log[a] + log[b]]
         self._pow = lambda a, e: exp[log[a] * e % n]
-        self._rows = _sized_rows(p, self.f, self._mul,
-                                 _list_rows(lambda b: [log[x] for x in b], axpy))
+        self._rows = _sized_rows(self, _list_rows(lambda b: [log[x] for x in b], axpy))
 
     def _packed_rows(self, k, size):
         """``_rows(k, size)`` on untabled extension fields: one int,

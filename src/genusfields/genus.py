@@ -77,7 +77,7 @@ def clement_genus_field(ext: NormalizedExtension) -> GenusField:
     radicals = []
     for P, e in ext.ramification:
         radicals.append((e, field.one, P))
-        gens.append(radical_row(M, dim, e, 0, [(ext.basis.index(P), 1)]))
+        gens.append(radical_row(M, dim, e, 0, [(ext.position[P], 1)]))
     group = RadicandGroup.spanned_by(M, dim, gens)
     return GenusField(field=field, constant_degree=n,
                       radicals=tuple(radicals), group=group,
@@ -98,7 +98,7 @@ def rarzvi_genus_field(ext: NormalizedExtension) -> GenusField:
     M = ext.group.modulus
     dim = ext.group.dim
     sign = _sign_dlog(field)
-    gens = [radical_row(M, dim, e, P.deg * sign, [(ext.basis.index(P), 1)])
+    gens = [radical_row(M, dim, e, P.deg * sign, [(ext.position[P], 1)])
             for P, e in ext.ramification]
     group = ext.group.join(gens)
     return GenusField(field=field,
@@ -175,6 +175,6 @@ def signed_closed_form_agrees(ext: NormalizedExtension, ra: GenusField):
         P, e = ram_by_poly[comp.D]
         eps_dlog = field.dlog(comp.gamma) + P.deg * sign
         gens.append(radical_row(M, dim, e, eps_dlog))
-        gens.append(radical_row(M, dim, e, 0, [(ext.basis.index(P), 1)]))
+        gens.append(radical_row(M, dim, e, 0, [(ext.position[P], 1)]))
     closed = RadicandGroup.spanned_by(M, dim, gens)
     return closed.equals(ra.group)

@@ -23,7 +23,7 @@ the order of the image under the weights -deg P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from math import gcd, lcm
 
@@ -75,6 +75,7 @@ class NormalizedExtension:
     group: RadicandGroup
     n: int                                # exponent of the Galois group
     degenerate: bool                      # K = k
+    position: dict = dataclass_field(compare=False, repr=False)  # P -> index
 
     @property
     def field(self) -> FqField:
@@ -123,15 +124,17 @@ def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
     basis = tuple(primes[k] for k in sorted(primes))
 
     dim = 1 + len(basis)
+    position = {P: j for j, P in enumerate(basis)}
     rows = tuple(
         radical_row(M, dim, comp.m, field.dlog(comp.gamma),
-                    [(basis.index(P), a) for P, a in factored.get(comp.D, ())])
+                    [(position[P], a) for P, a in factored.get(comp.D, ())])
         for comp in desc.components)
     kept = tuple(i for i, row in enumerate(rows) if any(row))
     group = RadicandGroup.spanned_by(M, dim, [rows[i] for i in kept])
     return NormalizedExtension(
         descriptor=desc, basis=basis, rows=rows, kept=kept,
-        group=group, n=group.exponent(), degenerate=not kept)
+        group=group, n=group.exponent(), degenerate=not kept,
+        position=position)
 
 
 def ramification_indices(ext: NormalizedExtension) -> tuple:

@@ -254,15 +254,21 @@ def _distinct_degree(h: Poly):
     return out, frob
 
 
+# a draw fails to split a product of distinct primes of one degree with
+# probability about 1/2 at most, so an h that this many draws leave whole
+# is not such a product
+_SPLIT_DRAWS = 100
+
+
 def _equal_degree(h: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus splitting of a product of distinct monic
-    irreducibles, all of degree d."""
+    irreducibles, all of degree d; :class:`InternalCheckError` if it is not."""
     n = h.degree()
     if n == d:
         return [h]
     field = h.field
     one = Poly.one(field)
-    while True:
+    for _ in range(_SPLIT_DRAWS):
         # a code is the from_index index, so this draws from_index elements
         r = Poly._make(field, [rng.randrange(field.q) for _ in range(n)])
         if r.degree() < 1:
@@ -280,6 +286,7 @@ def _equal_degree(h: Poly, d: int, rng: random.Random) -> list[Poly]:
             split = gcd(h, acc)
         if 0 < split.degree() < n:
             return _equal_degree(split, d, rng) + _equal_degree(h // split, d, rng)
+    raise InternalCheckError(f"no equal-degree split of {h!r} with d = {d}")
 
 
 @dataclass(frozen=True)

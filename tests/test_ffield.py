@@ -245,6 +245,27 @@ def test_element_arithmetic_builds_no_tables(p, f):
     assert x + y - y == x and -(-x) == x and x - y == x + -y
 
 
+# every field whose lane fits a byte: p = 2 with q <= 256, F_9, F_25, F_49
+# and the primes up to 127
+LANE_FIELDS = [(2, f) for f in range(1, 9)] + [(3, 2), (5, 2), (7, 2)] + \
+    [(p, 1) for p in range(3, 128) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p,f", LANE_FIELDS)
+def test_lane_product_tables(p, f):
+    """Each nonzero c's product table, read through one row update of c on
+    the row of every code into a zero accumulator, holds c * x for every x,
+    as the element arithmetic ``mul`` computes it."""
+    fld = build_field(p, f)
+    load, prep, axpy, _, store = fld._rows(1, ffield._LANE_ROW)
+    row = prep(range(fld.q))
+    assert isinstance(row, bytes)
+    mul = fld._ops[0]
+    for c in range(1, fld.q):
+        got = store(axpy(load([], fld.q), 0, c, row), fld.q)
+        assert got == [mul(c, x) for x in range(fld.q)]
+
+
 def _ref_product(a, b, modulus, p):
     """Coordinate product of a and b, reduced by the monic modulus and p."""
     f = len(modulus) - 1

@@ -6,7 +6,8 @@ import pytest
 from genusfields import (InternalCheckError, MonicIrreducible, Poly, factor,
                          gcd, is_irreducible, poly_sort_key, pow_mod,
                          squarefree_decomposition, valuation, variable)
-from genusfields import kernel
+from genusfields import kernel, polyring
+from genusfields.cli import main
 
 from conftest import (FIELD_KEYS, brute_force_factor, field,
                       fields_at_table_limit)
@@ -114,6 +115,28 @@ def test_failed_certificate_in_factor_is_internal(F5, monkeypatch):
         factor(P(F5, [0, 1]))
     with pytest.raises(ValueError):
         MonicIrreducible(P(F5, [0, 1]))
+
+
+def test_equal_degree_split_ends(tmp_path, capsys, monkeypatch):
+    """T^2 + 1 is irreducible over F_3, so no draw splits it into factors
+    of degree 1: the split gives up after 100 draws, and a job whose
+    distinct-degree stage hands it over exits 4 in place of hanging."""
+    F3 = field(3, 1)
+    with pytest.raises(InternalCheckError,
+                       match=r"^no equal-degree split of Poly\(deg=2, .*\) with d = 1$"):
+        polyring._equal_degree(P(F3, [1, 0, 1]), 1, random.Random(0))
+    distinct_degree = polyring._distinct_degree
+
+    def all_linear(h):
+        pairs, frob = distinct_degree(h)
+        return [(g, 1) for g, _ in pairs], frob
+    monkeypatch.setattr(polyring, "_distinct_degree", all_linear)
+    job = tmp_path / "job.txt"
+    job.write_text("field p=3 f=1\ncomponent gamma=1 D=T^2+1 m=2\n", encoding="utf-8")
+    assert main(["compute", str(job)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violation: no equal-degree split of")
+    assert err.endswith(" with d = 1\n")
 
 
 def test_valuation_examples(F5):
