@@ -16,12 +16,12 @@ characteristic and these two numbers, so a prepared row must be read only
 by operations chosen with the same k and ``size``: each function here
 prepares and reads its rows under one choice.
 
-Long division reads the top coefficient and makes one row update per
-step.  A divisor is prepared once (:func:`_divisor`) for any number of
-reductions: ``pow_mod``, ``frobenius_rows`` and ``rabin_holds`` prepare
-their modulus m once, as the row -m/lc(m), so their division steps take
-no element product, and each product in ``pow_mod`` is reduced in the
-accumulator it was formed in.
+:func:`_rem` is the one long-division loop: it loads a polynomial, or
+forms a product in the accumulator, and reduces it by a divisor prepared
+once (:func:`_divisor`), one row update per step.  A divisor prepared for
+k >= deg b row updates per coefficient is the row -b/lc(b), so its steps
+take no product.  ``pow_mod``, ``frobenius_rows`` and ``rabin_holds``
+prepare their modulus once, and :func:`valuation` its prime once a call.
 
 The Frobenius map v -> v^q on F_q[x]/(m) is F_q-linear, so once the
 rows x^(iq) mod m are known (:func:`frobenius_rows`, built from x^q mod m)
@@ -76,31 +76,37 @@ def mul(F, a, b):
     return store(_mul_into(axpy, load((), n), a, prep(b)), n)
 
 
-def _divisor(F, b, k, repeated=False):
+def _divisor(F, b, k):
     """b prepared for long division in accumulators of at most k row
     updates per coefficient: ``(rows, deg b, inv, t, row)``, with inv =
-    1/lc(b) (None if lc(b) is one) and t * row = -b/lc(b) below its
-    leading term.  A ``repeated`` divisor's row is -b/lc(b) itself, so its
-    division steps take no product."""
+    1/lc(b) and t * row = -b/lc(b) below its leading term, inv and t None
+    where they are one.  For k >= deg b the row is -b/lc(b) and t is None,
+    so no step takes a product; otherwise the row is b."""
     times, one, db = F._mul, F._one, len(b) - 1
     inv = None if b[-1] == one else F._pow(b[-1], -1)
     neg = F._minus_one if inv is None else times(inv, F._minus_one)
     rows = F._rows(k, db)
-    if repeated and neg != one:
-        return rows, db, inv, one, rows[1]([times(c, neg) for c in b[:-1]])
-    return rows, db, inv, neg, rows[1](b[:-1])
+    if k >= db and neg != one:
+        return rows, db, inv, None, rows[1]([times(c, neg) for c in b[:-1]])
+    return rows, db, inv, None if neg == one else neg, rows[1](b[:-1])
 
 
-def _rem(F, d, acc, top, quo=None):
-    """The remainder by the prepared divisor d of the accumulator ``acc``,
-    whose coefficients above ``top`` are zero, by schoolbook long
-    division: one ``read`` and one row update per quotient coefficient.
-    The quotient codes go to ``quo`` when it is given."""
-    (_, _, axpy, read, store), db, inv, t, row = d
+def _rem(F, d, a, b=None, quo=None):
+    """The remainder of a, or of a * b formed in the same accumulator, by
+    the prepared divisor d, by schoolbook long division: one ``read`` and
+    one row update per quotient coefficient.  The quotient codes go to
+    ``quo`` when it is given."""
+    (load, prep, axpy, read, store), db, inv, t, row = d
+    if b is None:
+        n = len(a)
+        if n <= db:
+            return list(a)
+        acc = load(a, n)
+    else:
+        n = len(a) + len(b) - 1
+        acc = _mul_into(axpy, load((), n), a, prep(b))
     times = F._mul
-    if t == F._one:
-        t = None
-    for k in range(top - db, -1, -1):
+    for k in range(n - 1 - db, -1, -1):
         c = read(acc, k + db)
         if c:
             if quo is not None:
@@ -109,18 +115,10 @@ def _rem(F, d, acc, top, quo=None):
     return trim(store(acc, db))
 
 
-def _reduce(F, d, a):
-    """The remainder of the code list a by the prepared divisor d."""
-    if len(a) <= d[1]:
-        return list(a)
-    return _rem(F, d, d[0][0](a, len(a)), len(a) - 1)
-
-
 def _mod(F, a, b, quo=None):
     """The remainder of a by b; the quotient codes go to ``quo`` when given.
-    A coefficient takes at most min(len(quo), deg b) row updates, and a
-    divisor taking more steps than it has lower coefficients is stored as
-    -b/lc(b).  A constant b divides a: the quotient is a/b."""
+    A coefficient takes at most min(len(a) - deg b, deg b) row updates.  A
+    constant b divides a: the quotient is a/b."""
     db = len(b) - 1
     if db < 0:
         raise ZeroDivisionError("polynomial division by zero")
@@ -131,8 +129,7 @@ def _mod(F, a, b, quo=None):
             quo[:] = a if b[0] == F._one else mul(F, [F._pow(b[0], -1)], a)
         return []
     steps = len(a) - db
-    d = _divisor(F, b, steps if steps < db else db, repeated=steps > db)
-    return _rem(F, d, d[0][0](a, len(a)), len(a) - 1, quo)
+    return _rem(F, _divisor(F, b, steps if steps < db else db), a, quo=quo)
 
 
 def div_mod(F, a, b):
@@ -141,25 +138,32 @@ def div_mod(F, a, b):
     return quo, _mod(F, a, b, quo)
 
 
-def _mul_mod(F, d, a, b):
-    """a * b reduced by the prepared modulus d, in one accumulator."""
-    (load, prep, axpy, _, _), n = d[0], len(a) + len(b) - 1
-    return _rem(F, d, _mul_into(axpy, load((), n), a, prep(b)), n - 1)
+def valuation(F, a, b):
+    """The largest v with b^v dividing a nonzero a, for b of degree >= 1:
+    b is prepared once, and a is divided by it until a remainder is
+    nonzero.  A coefficient takes at most deg b row updates."""
+    d, v = _divisor(F, b, len(b) - 1), 0
+    while len(a) >= len(b):
+        quo = [0] * (len(a) - len(b) + 1)
+        if _rem(F, d, a, quo=quo):
+            break
+        a, v = quo, v + 1
+    return v
 
 
 def pow_mod(F, a, e, m):
     """a**e reduced modulo m (degree >= 1), by square and multiply.  A
     product of two polynomials reduced mod m puts at most deg m row updates
     on a coefficient, and its reduction fewer than deg m more."""
-    d = _divisor(F, m, 2 * len(m) - 2, repeated=True)
+    d = _divisor(F, m, 2 * len(m) - 2)
     result = [F._one]
-    acc = _reduce(F, d, a)
+    acc = _rem(F, d, a)
     while e:
         if e & 1:
-            result = _mul_mod(F, d, result, acc)
+            result = _rem(F, d, result, acc)
         e >>= 1
         if e:
-            acc = _mul_mod(F, d, acc, acc)
+            acc = _rem(F, d, acc, acc)
     return result
 
 
@@ -193,9 +197,9 @@ def frobenius_rows(F, xq, m):
     F[x]/(m), from xq = x^q mod m, prepared for ``F._rows(deg m, deg m)``.
     Row i is row i - 1 times xq, so the build costs deg m - 2 modular
     products, all reduced by one preparation of m."""
-    d, rows = _divisor(F, m, 2 * len(m) - 2, repeated=True), [[F._one], xq]
+    d, rows = _divisor(F, m, 2 * len(m) - 2), [[F._one], xq]
     for _ in range(len(m) - 3):
-        rows.append(_mul_mod(F, d, rows[-1], xq))
+        rows.append(_rem(F, d, rows[-1], xq))
     prep = F._rows(d[1], d[1])[1]
     return [prep(r) for r in rows[:d[1]]]
 
@@ -218,7 +222,7 @@ def frobenius_powers(F, m):
     power it computes.  x^q is one ``pow_mod``; once a second step is due
     the rows of :func:`frobenius_rows` are built, and each later power is
     one :func:`frobenius` step of the last."""
-    powers = [div_mod(F, [0, F._one], m)[1]]
+    powers = [_mod(F, [0, F._one], m)]
     rows = []
 
     def frob(j):
@@ -244,11 +248,11 @@ def rabin_holds(F, m, frob):
     if n <= 1:
         return n == 1
     # a reduction mod m puts at most deg m row updates on a coefficient
-    x, d = [0, F._one], _divisor(F, m, n, repeated=True)
+    x, d = [0, F._one], _divisor(F, m, n)
     for j in sorted(n // ell for ell in prime_factors(n)):
-        if len(gcd(F, sub(F, _reduce(F, d, frob(j)), x), m)) != 1:
+        if len(gcd(F, sub(F, _rem(F, d, frob(j)), x), m)) != 1:
             return False
-    return _reduce(F, d, frob(n)) == x
+    return _rem(F, d, frob(n)) == x
 
 
 def rabin(F, m):

@@ -70,10 +70,6 @@ class Poly:
         return cls._make(field, [field._int(a) for a in ints])
 
     @classmethod
-    def zero(cls, field: FqField) -> "Poly":
-        return cls._make(field, [])
-
-    @classmethod
     def one(cls, field: FqField) -> "Poly":
         return cls._make(field, [field._one])
 
@@ -87,9 +83,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.codes
-
-    def is_one(self) -> bool:
-        return self.codes == (self.field._one,)
 
     def is_monic(self) -> bool:
         return bool(self.codes) and self.codes[-1] == self.field._one
@@ -126,7 +119,8 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        self._same_field(other)
+        return Poly._make(self.field, _k._mod(self.field, self.codes, other.codes))
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -349,12 +343,5 @@ def valuation(D: Poly, P: MonicIrreducible) -> int:
     """Largest a with P^a dividing D, for nonzero D."""
     if D.is_zero():
         raise ValueError("valuation of the zero polynomial is undefined")
-    count = 0
-    cur = D
-    while cur.degree() >= P.deg:
-        quo, rem = divmod(cur, P.poly)
-        if not rem.is_zero():
-            break
-        cur = quo
-        count += 1
-    return count
+    D._same_field(P.poly)
+    return _k.valuation(D.field, D.codes, P.poly.codes)

@@ -242,9 +242,10 @@ def _parse_field_line(seen, line_no):
     if "gen" not in seen:
         return field
     # a power of g is taken on its coordinates and binds nothing, so the
-    # default field that gen= is read on builds no tables
+    # default field that gen= is read on builds no tables; its modulus is
+    # checked again, not searched for again
     return _value(seen, "gen", line_no, lambda value: build_field(
-        p, f, modulus=modulus, generator=parse_const(field, value).coeffs))
+        p, f, modulus=field.modulus, generator=parse_const(field, value).coeffs))
 
 
 def _parse_component_line(field, seen, line_no, strict):

@@ -9,12 +9,17 @@ job is ``Runner.job``: ``parse_input``, ``dataclasses.replace`` of the
 ``JobConfig`` fields it sets, ``run`` and ``Report.to_json``.  A refactor
 that renames or moves any of them breaks the benchmark run; these tests
 catch it in the suite.  One more test guards the traffic the benchmark's
-jobs put on the ``FqElem`` operators: none.
+jobs put on the ``FqElem`` operators: none.  Another replays the first
+round of every recorded seed against ``perfbench/reference/``, so a
+report that changes, or a job that fails or never ends, fails the suite
+and not only a later benchmark run.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import json
+import signal
 import sys
 from pathlib import Path
 
@@ -126,3 +131,37 @@ def test_worker_job_replays_the_cli(worker):
     # the bytes of `genusfields compare --infinite --format json`
     expected = (GOLDEN / "extension_field_q9_mod_gen.json").read_text(encoding="utf-8")
     assert rendered + "\n" == expected
+
+
+# seconds one replayed job may take; each takes well under one
+JOB_ALARM_S = 60
+
+
+def test_recorded_seeds_replay(worker):
+    """The first round of each seed recorded in ``perfbench/reference/``,
+    run job by job as the worker runs it: every report passes
+    ``check_report`` and the round's digest is the recorded one.  A job
+    that runs past ``JOB_ALARM_S`` fails the test by its workload, seed
+    and job."""
+    where = []
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"{where[-1]} ran past {JOB_ALARM_S} s")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for name, rounds in sorted(worker.WORKLOADS.items()):
+            recorded = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())
+            for seed in sorted(recorded, key=int):
+                runner, digests = worker.Runner(report), []
+                for i, text in enumerate(next(rounds(int(seed)))):
+                    where.append(f"{name} seed {seed} job {i}")
+                    signal.alarm(JOB_ALARM_S)
+                    rendered = runner.job(text)
+                    signal.alarm(0)
+                    assert worker.check_report(rendered) is None, where[-1]
+                    digests.append(worker.job_digest(text, rendered))
+                assert worker.round_digest(digests) == \
+                    recorded[seed][:worker.HASH_HEX], f"{name} seed {seed}"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

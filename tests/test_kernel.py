@@ -20,8 +20,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genusfields import Poly, build_field, gcd, pow_mod
-from genusfields import ffield, kernel
+from genusfields import Poly, build_field, gcd, pow_mod, variable
+from genusfields import ffield, kernel, polyring
 
 from conftest import fields_at_table_limit
 
@@ -287,7 +287,11 @@ def test_slot_width_follows_operand_length():
 @pytest.mark.parametrize("fields", [TABLED, UNTABLED], ids=["tabled", "untabled"])
 def test_moduli_are_prepared_once(fields, monkeypatch):
     """pow_mod, frobenius_rows and rabin_holds prepare their modulus once,
-    however many reductions they make."""
+    however many reductions they make, and valuation its prime once per
+    call, however many times the prime divides.  A divisor is stored as
+    the row -b/lc(b) exactly when a coefficient may take k >= deg b row
+    updates, and otherwise as b with the factor -1/lc(b) per step; here
+    for a non-monic b over F_9 and 3^10."""
     fld = fields[(3, 2)]
     calls, prepare = [], kernel._divisor
 
@@ -311,3 +315,21 @@ def test_moduli_are_prepared_once(fields, monkeypatch):
     calls.clear()
     kernel.rabin_holds(fld, m, frob)
     assert calls.count(m) == 1
+    P = polyring.MonicIrreducible(Poly._make(fld, [g, one]))
+    for v in range(4):
+        D = variable(fld) * P.poly ** v   # x + g does not divide x
+        calls.clear()
+        assert polyring.valuation(D, P) == v
+        assert [list(b) for b in calls] == [[g, one]]
+    for F in (fld, build_field(3, 10)):
+        b = [F.g.code, 0, F._one, F.g.code, (F.g ** 3).code]
+        neg = -F.one / F.from_index(b[-1])
+        scaled = [(F.from_index(c) * neg).code for c in b[:-1]]
+        for k in range(1, 2 * len(b)):
+            rows, db, inv, t, row = prepare(F, b, k)
+            assert db == 4 and inv == (F.one / F.from_index(b[-1])).code
+            assert rows == F._rows(k, db)
+            if k >= db:
+                assert (t, row) == (None, rows[1](scaled))
+            else:
+                assert (t, row) == (neg.code, rows[1](b[:-1]))

@@ -24,8 +24,8 @@ def test_arith_examples(F5):
     quo, rem = divmod(P(F5, [1, 0, 1]), P(F5, [2, 1]))
     assert quo == P(F5, [3, 1]) and rem.is_zero()                    # (T+2)(T+3)
     a = P(F5, [3, 2])
-    assert gcd(a, Poly.zero(F5)) == a.monic()
-    assert gcd(Poly.zero(F5), Poly.zero(F5)).is_zero()
+    assert gcd(a, Poly(F5, [])) == a.monic()
+    assert gcd(Poly(F5, []), Poly(F5, [])).is_zero()
 
 
 def test_divmod_properties(F9):
@@ -42,7 +42,7 @@ def test_divmod_properties(F9):
 
 def test_division_by_zero(F5):
     with pytest.raises(ZeroDivisionError):
-        divmod(P(F5, [1, 1]), Poly.zero(F5))
+        divmod(P(F5, [1, 1]), Poly(F5, []))
 
 
 def test_field_mismatch(F5, F7):
@@ -57,7 +57,7 @@ def test_squarefree_examples(F5, F2):
     f = P(F5, [1, 0, 1])                                    # squarefree
     assert squarefree_decomposition(f) == [(f, 1)]
     with pytest.raises(ValueError):
-        squarefree_decomposition(Poly.zero(F5))
+        squarefree_decomposition(Poly(F5, []))
 
 
 def test_squarefree_char_p_powers(F2, F9):
@@ -82,7 +82,7 @@ def test_factor_errors(F5):
     with pytest.raises(ValueError):
         factor(P(F5, [3]))
     with pytest.raises(ValueError):
-        factor(Poly.zero(F5))
+        factor(Poly(F5, []))
 
 
 def test_is_irreducible_examples(F5, F3):
@@ -91,7 +91,7 @@ def test_is_irreducible_examples(F5, F3):
     assert is_irreducible(P(F3, [1, 0, 1]))
     assert not is_irreducible(P(F5, [3]))
     with pytest.raises(ValueError):
-        is_irreducible(Poly.zero(F5))
+        is_irreducible(Poly(F5, []))
 
 
 def test_monic_irreducible_certifies(F5):
@@ -146,7 +146,7 @@ def test_valuation_examples(F5):
     assert valuation(P(F5, [1, 1]), T_) == 0
     assert valuation(P(F5, [1, 0, 1]), MonicIrreducible(P(F5, [2, 1]))) == 1
     with pytest.raises(ValueError):
-        valuation(Poly.zero(F5), T_)
+        valuation(Poly(F5, []), T_)
 
 
 def random_monic(fld, rng, max_deg, min_deg=1):
@@ -173,7 +173,7 @@ def test_refactor_random(p, f):
         assert product == poly
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
-                assert gcd(factors[i][0].poly, factors[j][0].poly).is_one()
+                assert gcd(factors[i][0].poly, factors[j][0].poly) == Poly.one(fld)
 
 
 def test_factor_agrees_with_all_divisor_oracle():

@@ -248,6 +248,23 @@ def test_gen_builds_one_table(monkeypatch):
     assert len(builds) == 1 and builds[0] is config.field
 
 
+def test_gen_searches_for_the_modulus_once(monkeypatch):
+    """The field that gen= is read on finds the modulus; the field with
+    the given generator reuses it, so a job over 3^10 searches once."""
+    from genusfields import ffield
+    searches, find = [], ffield._find_modulus
+
+    def counted(p, f):
+        searches.append((p, f))
+        return find(p, f)
+    monkeypatch.setattr(ffield, "_find_modulus", counted)
+    config = parse_input("field p=3 f=10 gen=g^7\ncomponent gamma=g^7 D=T m=2\n")
+    run(config).to_json()
+    assert searches.count((3, 10)) == 1
+    assert config.field.g == config.field.elem(
+        (ffield.build_field(3, 10).g ** 7).coeffs)
+
+
 def test_render_job_round_trip_random():
     rng = random.Random(41)
     for _ in range(40):
