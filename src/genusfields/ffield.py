@@ -66,8 +66,8 @@ Discrete logarithms are always taken to the canonical generator: read
 from ``_log`` on tabled fields.  Other fields, prime ones included, keep
 a log memo (code -> k) that every ``dlog`` and every power of g fills,
 so a parsed ``g^k`` renders back without a search; a miss runs
-baby-step giant-step against one baby-step table per field, built by
-the first search.  Everything is exact.
+baby-step giant-step, whose first search writes the baby steps into the
+memo.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -112,6 +112,15 @@ def _width(p, f, k):
     return -(-bits // 8) * 8
 
 
+def _digit_table(units, digits):
+    """sum(digits[i_j] * units[j]) for every index vector (i_0, i_1, ...) in
+    lexicographic order, so units[0] weighs the most significant digit."""
+    out = [0]
+    for u in units:
+        out = [t + d * u for t in out for d in digits]
+    return out
+
+
 def _packing(p, f, modulus, width):
     """``(pack, reduce)`` for f > 1 and digits of ``width`` bits.
 
@@ -132,15 +141,9 @@ def _packing(p, f, modulus, width):
     mask, low_mask = (1 << width) - 1, (1 << width * f) - 1
     low = range(0, width * f, width)
     high = range(width * f, width * (2 * f - 1), width)
-
-    def table(units):   # sum(d_i * units[i]) for every d in lexicographic order
-        out = [0]
-        for u in units:
-            out = [t + d * u for t in out for d in range(p)]
-        return out
-    split = p ** (f // 2)
-    tops = table([1 << s for s in low[:f - f // 2]])
-    bottoms = table([1 << s for s in low[f - f // 2:]])
+    digits, split = range(p), p ** (f // 2)
+    tops = _digit_table([1 << s for s in low[:f - f // 2]], digits)
+    bottoms = _digit_table([1 << s for s in low[f - f // 2:]], digits)
 
     def pack(a):
         top, bottom = divmod(a, split)
@@ -175,9 +178,9 @@ def _packing(p, f, modulus, width):
             acc = (acc & lows[n]) + (acc >> 8 & lows[n])
             acc = (acc & lows[n]) + (acc >> 8 & lows[n])
         return int(acc.to_bytes(n * size, "little")[::size].translate(chars), p)
-    half = (f - 1) // 2
-    split_high = p ** half
-    tops_high, bottoms_high = table(folds[:f - 1 - half]), table(folds[f - 1 - half:])
+    split_high = p ** ((f - 1) // 2)   # f // 2 high digits on top, (f - 1) // 2 below
+    tops_high = _digit_table(folds[:f // 2], digits)
+    bottoms_high = _digit_table(folds[f // 2:], digits)
 
     def reduce(acc):
         top, bottom = divmod(residues(acc >> width * f, f - 1), split_high)
@@ -342,12 +345,8 @@ def _lane_rows(p, f, bits, mul, g):
     through c's product table ``times[c]``: only g's table ``step`` takes
     products by ``mul``, and the table of g^(i+1) is g^i's translated
     through ``step``.  ``axpy`` XORs or adds the whole slice as one int."""
-    def spread(digits):   # sum(d_j << bits * j) for each d, lexicographically
-        out = [0]
-        for j in range(f):
-            out = [t + (d << bits * j) for d in digits for t in out]
-        return out
-    lanes = spread(range(p))
+    units = [1 << bits * j for j in range(f - 1, -1, -1)]
+    lanes = _digit_table(units, range(p))
     to_code, step = bytearray(256), bytearray(256)
     for x, lane in enumerate(lanes):
         to_code[lane], step[lane] = x, lanes[mul(g, x)]
@@ -390,7 +389,8 @@ def _lane_rows(p, f, bits, mul, g):
                 row.translate(times[c]), "little")).to_bytes(end - off, "little")
             return acc
     else:
-        reduced = bytes(spread([v % p for v in range(1 << bits)])).ljust(256, b"\0")
+        reduced = bytes(_digit_table(units, [v % p for v in range(1 << bits)])
+                        ).ljust(256, b"\0")
 
         def axpy(acc, off, c, row):
             end = off + len(row)
@@ -600,20 +600,21 @@ class FqField:
         return k
 
     def _search(self, code):
-        """Baby-step giant-step: the first search stores the baby steps
-        code of g^j -> j (j < m = ceil(sqrt(q - 1))) and the packed giant
-        step g^(-m); every search takes at most m + 1 giant steps."""
-        n = self.q - 1
+        """Baby-step giant-step: the first search writes the baby steps, code
+        of g^j -> j for j < m = ceil(sqrt(q - 1)), into the log memo and keeps
+        the packed giant step g^(-m); a search takes at most m + 1 giant
+        steps, up to the first code whose log the memo holds."""
+        n, memo = self.q - 1, self._memo
         _, power, pack, reduce = self._ops
         if self._baby is None:
-            m, g, t, baby = isqrt(n - 1) + 1, pack(self._gcode), self._one, {}
+            m, g, t = isqrt(n - 1) + 1, pack(self._gcode), self._one
             for j in range(m):
-                baby.setdefault(t, j)
+                memo[t] = j
                 t = reduce(pack(t) * g)
-            self._baby = m, baby, pack(power(self._gcode, n - m))
-        m, baby, giant = self._baby
+            self._baby = m, pack(power(self._gcode, n - m))
+        m, giant = self._baby
         for i in range(m + 1):
-            j = baby.get(code)
+            j = memo.get(code)
             if j is not None:
                 return (i * m + j) % n
             code = reduce(pack(code) * giant)

@@ -16,12 +16,13 @@ characteristic and these two numbers, so a prepared row must be read only
 by operations chosen with the same k and ``size``: each function here
 prepares and reads its rows under one choice.
 
-:func:`_rem` is the one long-division loop: it loads a polynomial, or
-forms a product in the accumulator, and reduces it by a divisor prepared
-once (:func:`_divisor`), one row update per step.  A divisor prepared for
-k >= deg b row updates per coefficient is the row -b/lc(b), so its steps
-take no product.  ``pow_mod``, ``frobenius_rows`` and ``rabin_holds``
-prepare their modulus once, and :func:`valuation` its prime once a call.
+:func:`_rem` is the one long-division loop, for every divisor: it loads
+a polynomial, or forms a product in the accumulator, and reduces it by a
+divisor prepared once (:func:`_divisor`), one row update per step.  A
+divisor prepared for k >= deg b row updates per coefficient is the row
+-b/lc(b), so its steps take no product.  ``pow_mod``, ``frobenius_rows``
+and ``rabin_holds`` prepare their modulus once, and :func:`valuation`
+its prime once a call.  Euclid's loop (:func:`gcd`) stops at a unit.
 
 The Frobenius map v -> v^q on F_q[x]/(m) is F_q-linear, so once the
 rows x^(iq) mod m are known (:func:`frobenius_rows`, built from x^q mod m)
@@ -117,17 +118,13 @@ def _rem(F, d, a, b=None, quo=None):
 
 def _mod(F, a, b, quo=None):
     """The remainder of a by b; the quotient codes go to ``quo`` when given.
-    A coefficient takes at most min(len(a) - deg b, deg b) row updates.  A
-    constant b divides a: the quotient is a/b."""
+    A coefficient takes at most min(len(a) - deg b, deg b) row updates: none
+    for a constant b, whose prepared row is empty."""
     db = len(b) - 1
     if db < 0:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) <= db:
         return list(a)
-    if not db:
-        if quo is not None:
-            quo[:] = a if b[0] == F._one else mul(F, [F._pow(b[0], -1)], a)
-        return []
     steps = len(a) - db
     return _rem(F, _divisor(F, b, steps if steps < db else db), a, quo=quo)
 
@@ -175,10 +172,10 @@ def monic(F, a):
 
 
 def gcd(F, a, b):
-    """Monic gcd; gcd(0, 0) = 0."""
-    while b:
+    """Monic gcd; gcd(0, 0) = 0.  Euclid stops at a unit: the gcd is then 1."""
+    while len(b) > 1:
         a, b = b, _mod(F, a, b)
-    return monic(F, a)
+    return [F._one] if b else monic(F, a)
 
 
 def derivative(F, a):

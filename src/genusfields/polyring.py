@@ -197,14 +197,15 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
             accumulate(Poly._make(field, _k.pth_root(field, h.codes)), scale * field.p)
             return
         c = gcd(h, d)
-        w = h // c
-        i = 1
+        if c.degree() < 1:   # h is squarefree
+            parts[scale] = h
+            return
+        w, i = h // c, 1
         while w.degree() > 0:
             y = gcd(w, c)
             z = w // y
             if z.degree() > 0:
-                key = i * scale
-                parts[key] = parts[key] * z if key in parts else z
+                parts[i * scale] = z
             w, c, i = y, c // y, i + 1
         if c.degree() > 0:
             accumulate(Poly._make(field, _k.pth_root(field, c.codes)), scale * field.p)
@@ -272,8 +273,7 @@ def _equal_degree(h: Poly, d: int, rng: random.Random) -> list[Poly]:
             split = gcd(h, u - one)
         else:
             # absolute trace map to F_2 over F_(2^f): sum of 2^j-th powers
-            acc = r % h
-            term = acc
+            acc = term = r   # deg r < deg h
             for _ in range(d * field.f - 1):
                 term = pow_mod(term, 2, h)
                 acc = acc + term

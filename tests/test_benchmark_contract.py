@@ -10,7 +10,9 @@ job is ``Runner.job``: ``parse_input``, ``dataclasses.replace`` of the
 that renames or moves any of them breaks the benchmark run; these tests
 catch it in the suite.  One more test guards the traffic the benchmark's
 jobs put on the ``FqElem`` operators: none.  Another replays the first
-round of every recorded seed against ``perfbench/reference/``, so a
+round of every recorded seed against ``perfbench/reference/``, and a
+third the later rounds (every one of ``high_degree`` and ``large_field``,
+the first ones of ``wide_basis`` and ``corpus`` at two seeds), so a
 report that changes, or a job that fails or never ends, fails the suite
 and not only a later benchmark run.
 """
@@ -162,6 +164,49 @@ def test_recorded_seeds_replay(worker):
                     digests.append(worker.job_digest(text, rendered))
                 assert worker.round_digest(digests) == \
                     recorded[seed][:worker.HASH_HEX], f"{name} seed {seed}"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# (seeds, rounds) of each workload that the later-round replay runs, None
+# for every recorded one: about 12 s in all
+LATER_ROUNDS = {"high_degree": (None, None), "large_field": (None, None),
+                "wide_basis": (("1", "7"), 10), "corpus": (("1", "7"), 50)}
+
+
+def test_recorded_later_rounds_replay(worker):
+    """The recorded rounds after the first, up to ``LATER_ROUNDS``, run job
+    by job as the worker runs them: every report passes ``check_report``
+    and each round's digest is the recorded one.  The benchmark reaches
+    these rounds in its runs of ``run_seconds``, where a job that fails or
+    never ends refuses the run; here a job that runs past ``JOB_ALARM_S``
+    fails the test by its workload, seed, round and job."""
+    where = []
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"{where[-1]} ran past {JOB_ALARM_S} s")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for name, (seeds, limit) in LATER_ROUNDS.items():
+            recorded = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())
+            for seed in seeds or sorted(recorded, key=int):
+                runner, want = worker.Runner(report), recorded[seed]
+                count = len(want) // worker.HASH_HEX
+                rounds = worker.WORKLOADS[name](int(seed))
+                next(rounds)   # the first round is test_recorded_seeds_replay's
+                for r, texts in zip(range(1, min(count, limit or count)), rounds):
+                    digests = []
+                    for i, text in enumerate(texts):
+                        where.append(f"{name} seed {seed} round {r} job {i}")
+                        signal.alarm(JOB_ALARM_S)
+                        rendered = runner.job(text)
+                        signal.alarm(0)
+                        assert worker.check_report(rendered) is None, where[-1]
+                        digests.append(worker.job_digest(text, rendered))
+                    assert worker.round_digest(digests) == \
+                        want[r * worker.HASH_HEX:(r + 1) * worker.HASH_HEX], \
+                        f"{name} seed {seed} round {r}"
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -90,16 +90,26 @@ def ref_pow_mod(fld, a, e, m):
 
 @st.composite
 def cases(draw):
-    """A key, two code lists and an exponent; in one case of five the lists
-    run past the byte-lane crossover, with a smaller exponent."""
+    """A key, two code lists a and b and an exponent.  In one case of six
+    the lists run past the byte-lane crossover, with a smaller exponent; in
+    one b is a single nonzero code, a constant divisor; and in one b has
+    degree >= 1 and a is x^k b + c for a nonzero code c, so Euclid's first
+    remainder is the constant c."""
     key = draw(st.sampled_from(KEYS))
     q = key[0] ** key[1]
-    if draw(st.integers(0, 4)):
-        codes, top = st.lists(st.integers(0, q - 1), max_size=12), 30
+    code, nonzero = st.integers(0, q - 1), st.integers(1, q - 1)
+    kind = draw(st.integers(0, 5))
+    if kind:
+        codes, top = st.lists(code, max_size=12), 30
     else:
-        codes, top = st.lists(st.integers(0, q - 1), min_size=CROSSOVER,
-                              max_size=2 * CROSSOVER), 4
-    return key, draw(codes), draw(codes), draw(st.integers(0, top))
+        codes, top = st.lists(code, min_size=CROSSOVER, max_size=2 * CROSSOVER), 4
+    a, b, e = draw(codes), draw(codes), draw(st.integers(0, top))
+    if kind == 1:
+        b = [draw(nonzero)]
+    elif kind == 2:
+        b = draw(st.lists(code, min_size=1, max_size=11)) + [draw(nonzero)]
+        a = [draw(nonzero)] + [0] * draw(st.integers(0, 3)) + b
+    return key, a, b, e
 
 
 def _elems(fld, codes):

@@ -26,6 +26,8 @@ def test_arith_examples(F5):
     a = P(F5, [3, 2])
     assert gcd(a, Poly(F5, [])) == a.monic()
     assert gcd(Poly(F5, []), Poly(F5, [])).is_zero()
+    c = P(F5, [3])                                          # a nonzero constant
+    assert gcd(Poly(F5, []), c) == gcd(c, Poly(F5, [])) == Poly.one(F5)
 
 
 def test_divmod_properties(F9):
@@ -50,12 +52,15 @@ def test_field_mismatch(F5, F7):
         P(F5, [1]) * P(F7, [1])
 
 
-def test_squarefree_examples(F5, F2):
+def test_squarefree_examples(F5, F2, F9):
     assert squarefree_decomposition(P(F5, [0, 1, 2, 1])) == \
         [(P(F5, [0, 1]), 1), (P(F5, [1, 1]), 2)]           # T(T+1)^2
     assert squarefree_decomposition(P(F2, [0, 0, 1])) == [(P(F2, [0, 1]), 2)]
-    f = P(F5, [1, 0, 1])                                    # squarefree
-    assert squarefree_decomposition(f) == [(f, 1)]
+    # squarefree inputs are recorded whole: gcd(f, f') is a constant
+    for f in (P(F5, [1, 0, 1]), P(F2, [1, 1, 1]), P(F2, [0, 1, 1, 1]),
+              Poly(F9, [F9.g, F9.zero, F9.one]), P(F9, [0, 1]) * P(F9, [1, 1])):
+        assert squarefree_decomposition(f) == [(f, 1)]
+        assert squarefree_decomposition(f * Poly(f.field, [f.field.g])) == [(f, 1)]
     with pytest.raises(ValueError):
         squarefree_decomposition(Poly(F5, []))
 
@@ -67,6 +72,12 @@ def test_squarefree_char_p_powers(F2, F9):
     # (T + 1)^3 over F_9 (char 3)
     cube = P(F9, [1, 1]) ** 3
     assert squarefree_decomposition(cube) == [(P(F9, [1, 1]), 3)]
+    # a squarefree part times a p-th power, whose root is squarefree too
+    s2, r2 = P(F2, [1, 1, 1]), P(F2, [0, 1]) * P(F2, [1, 1])   # T^2+T+1, T(T+1)
+    assert squarefree_decomposition(s2 * r2 ** 2) == [(s2, 1), (r2, 2)]
+    s9, r9 = Poly(F9, [F9.g, F9.zero, F9.one]), P(F9, [2, 1])   # T^2+g, T+2
+    assert squarefree_decomposition(s9 * r9 ** 3) == [(s9, 1), (r9, 3)]
+    assert squarefree_decomposition(s9 * r9 ** 6) == [(s9, 1), (r9, 6)]
 
 
 def test_factor_examples(F5, F3, F2):
