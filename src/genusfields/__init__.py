@@ -19,7 +19,7 @@ from .kummer import (KummerComponent, KummerDescriptor, NormalizedExtension,
                      ramification_indices, ramification_lcm_oracle)
 from .polyring import (MonicIrreducible, Poly, factor, gcd, is_irreducible,
                        poly_sort_key, pow_mod, squarefree_decomposition,
-                       valuation, variable)
+                       valuation)
 from .report import (JobConfig, Report, parse_input, render_const, render_poly,
                      render_job, run)
 
@@ -36,6 +36,6 @@ __all__ = [
     "poly_sort_key", "pow_mod", "ramification_indices",
     "ramification_lcm_oracle", "render_const", "render_job", "render_poly",
     "rarzvi_genus_field", "run", "signed_closed_form_agrees",
-    "smith_normal_form", "squarefree_decomposition", "valuation", "variable",
+    "smith_normal_form", "squarefree_decomposition", "valuation",
     "verify_degree_formula",
 ]

@@ -32,8 +32,9 @@ powers x^(q^j) mod m are computed, and :func:`rabin_holds` reads Rabin's
 criterion from them; :func:`rabin` is the full test on m's own powers.
 
 This module imports nothing from the package but :mod:`intmath`, so
-:mod:`ffield` certifies its defining modulus with :func:`rabin` over F_p,
-and :mod:`polyring` wraps the same loops in its :class:`Poly` type.
+:mod:`ffield` certifies its defining modulus with :func:`rabin` over F_p.
+:mod:`polyring` wraps the same loops in its :class:`Poly` type, and runs
+its factoring stages on code lists with this module's public functions.
 """
 
 from .intmath import prime_factors

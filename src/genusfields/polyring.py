@@ -17,8 +17,11 @@ where a prime-field coefficient sorts by its integer value and an
 extension-field coefficient sorts by discrete logarithm with 0 first.
 
 `factor` runs squarefree decomposition, then distinct-degree splitting,
-then Cantor-Zassenhaus equal-degree splitting.  The distinct-degree
-stage computes x^(q^j) mod each squarefree part h once, by
+then Cantor-Zassenhaus equal-degree splitting.  The three stages run on
+code lists with :mod:`kernel`'s public functions, so a :class:`Poly` is
+built only at `factor`'s edges: its input, the squarefree parts, each
+prime found and the text of a failed split.  The distinct-degree stage
+computes x^(q^j) mod each squarefree part h once, by
 :func:`kernel.frobenius_powers`, which keeps every power: a prime P of
 degree d divides h, so the powers mod h give Rabin's criterion for P,
 x^(q^d) = x mod P and gcd(x^(q^(d/l)) - x, P) = 1 for each prime l | d.
@@ -115,9 +118,6 @@ class Poly:
         quo, rem = _k.div_mod(self.field, self.codes, other.codes)
         return Poly._make(self.field, quo), Poly._make(self.field, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         self._same_field(other)
         return Poly._make(self.field, _k._mod(self.field, self.codes, other.codes))
@@ -135,9 +135,6 @@ class Poly:
                 base = base * base
         return result
 
-    def derivative(self) -> "Poly":
-        return Poly._make(self.field, _k.derivative(self.field, self.codes))
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -149,11 +146,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(deg={self.degree()}, coeffs={[c.coeffs for c in self.coeffs]})"
-
-
-def variable(field: FqField) -> Poly:
-    """The polynomial T."""
-    return Poly._make(field, [0, field._one])
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -188,32 +180,32 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """
     if f.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    field = f.field
-    parts: dict[int, Poly] = {}
+    F = f.field
+    parts: dict[int, list] = {}
 
-    def accumulate(h: Poly, scale: int):
-        d = h.derivative()
-        if d.is_zero():
-            accumulate(Poly._make(field, _k.pth_root(field, h.codes)), scale * field.p)
+    def accumulate(h, scale: int):
+        d = _k.derivative(F, h)
+        if not d:
+            accumulate(_k.pth_root(F, h), scale * F.p)
             return
-        c = gcd(h, d)
-        if c.degree() < 1:   # h is squarefree
-            parts[scale] = h
-            return
-        w, i = h // c, 1
-        while w.degree() > 0:
-            y = gcd(w, c)
-            z = w // y
-            if z.degree() > 0:
+        c = _k.gcd(F, h, d)
+        w, i = h if len(c) == 1 else _k.div_mod(F, h, c)[0], 1
+        # w is the product of the S_j with j >= i not divisible by p; a
+        # constant gcd(w, c) leaves only multiplicity i in it, so the loop
+        # stops there and never divides by a constant (c = 1: w = h)
+        while len(y := _k.gcd(F, w, c)) > 1:
+            z = _k.div_mod(F, w, y)[0]
+            if len(z) > 1:
                 parts[i * scale] = z
-            w, c, i = y, c // y, i + 1
-        if c.degree() > 0:
-            accumulate(Poly._make(field, _k.pth_root(field, c.codes)), scale * field.p)
+            w, c, i = y, _k.div_mod(F, c, y)[0], i + 1
+        parts[i * scale] = w
+        if len(c) > 1:
+            accumulate(_k.pth_root(F, c), scale * F.p)
 
-    m = f.monic()
-    if m.degree() > 0:
+    m = _k.monic(F, f.codes)
+    if len(m) > 1:
         accumulate(m, 1)
-    return [(parts[k], k) for k in sorted(parts)]
+    return [(Poly._make(F, parts[k]), k) for k in sorted(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +218,23 @@ def is_irreducible(f: Poly) -> bool:
     return _k.rabin(f.field, f.monic().codes)
 
 
-def _distinct_degree(h: Poly):
-    """Split a monic squarefree polynomial into products of irreducibles of
-    equal degree, as (product, degree) pairs, and return them with
-    ``frob = kernel.frobenius_powers(field, h)``: ``frob(j)`` is the code
-    list of x^(q^j) mod h.  It keeps every power, so it also serves the
-    certificate of each prime found here, the leftover prime's included."""
-    field = h.field
-    t = variable(field)
-    frob = _k.frobenius_powers(field, h.codes)
-    out = []
-    rem = h
-    d = 0
-    while rem.degree() >= 2 * (d + 1):
+def _distinct_degree(F: FqField, h):
+    """Split a monic squarefree h into products of irreducibles of equal
+    degree, as (product, degree) pairs of code lists, and return them with
+    ``frob = kernel.frobenius_powers(F, h)``: ``frob(j)`` is x^(q^j) mod h.
+    It keeps every power, so it also serves the certificate of each prime
+    found here, the leftover prime's included."""
+    x = [0, F._one]
+    frob = _k.frobenius_powers(F, h)
+    out, rem, d = [], h, 0
+    while len(rem) > 2 * d + 2:
         d += 1
-        g = gcd(rem, Poly._make(field, frob(d)) - t)
-        if g.degree() > 0:
+        g = _k.gcd(F, rem, _k.sub(F, frob(d), x))
+        if len(g) > 1:
             out.append((g, d))
-            rem = rem // g
-    if rem.degree() > 0:
-        out.append((rem, rem.degree()))
+            rem = _k.div_mod(F, rem, g)[0]
+    if len(rem) > 1:
+        out.append((rem, len(rem) - 1))
     return out, frob
 
 
@@ -255,32 +244,33 @@ def _distinct_degree(h: Poly):
 _SPLIT_DRAWS = 100
 
 
-def _equal_degree(h: Poly, d: int, rng: random.Random) -> list[Poly]:
+def _equal_degree(F: FqField, h, d: int, rng: random.Random) -> list:
     """Cantor-Zassenhaus splitting of a product of distinct monic
-    irreducibles, all of degree d; :class:`InternalCheckError` if it is not."""
-    n = h.degree()
+    irreducibles, all of degree d, on code lists;
+    :class:`InternalCheckError` if it is not such a product."""
+    n = len(h) - 1
     if n == d:
         return [h]
-    field = h.field
-    one = Poly.one(field)
     for _ in range(_SPLIT_DRAWS):
         # a code is the from_index index, so this draws from_index elements
-        r = Poly._make(field, [rng.randrange(field.q) for _ in range(n)])
-        if r.degree() < 1:
+        r = _k.trim([rng.randrange(F.q) for _ in range(n)])
+        if len(r) < 2:
             continue
-        if field.p != 2:
-            u = pow_mod(r, (field.q ** d - 1) // 2, h)
-            split = gcd(h, u - one)
+        if F.p != 2:
+            u = _k.pow_mod(F, r, (F.q ** d - 1) // 2, h)
+            split = _k.gcd(F, h, _k.sub(F, u, [F._one]))
         else:
             # absolute trace map to F_2 over F_(2^f): sum of 2^j-th powers
             acc = term = r   # deg r < deg h
-            for _ in range(d * field.f - 1):
-                term = pow_mod(term, 2, h)
-                acc = acc + term
-            split = gcd(h, acc)
-        if 0 < split.degree() < n:
-            return _equal_degree(split, d, rng) + _equal_degree(h // split, d, rng)
-    raise InternalCheckError(f"no equal-degree split of {h!r} with d = {d}")
+            for _ in range(d * F.f - 1):
+                term = _k.pow_mod(F, term, 2, h)
+                acc = _k.add(F, acc, term)
+            split = _k.gcd(F, h, acc)
+        if 1 < len(split) <= n:
+            return _equal_degree(F, split, d, rng) + \
+                _equal_degree(F, _k.div_mod(F, h, split)[0], d, rng)
+    raise InternalCheckError(
+        f"no equal-degree split of {Poly._make(F, h)!r} with d = {d}")
 
 
 @dataclass(frozen=True)
@@ -323,12 +313,13 @@ def factor(f: Poly, seed: int = 0) -> list[tuple[MonicIrreducible, int]]:
     prime certificate raises :class:`InternalCheckError`."""
     if f.is_zero() or f.degree() < 1:
         raise ValueError("cannot factor a constant or zero polynomial")
-    rng = random.Random(seed)
+    F, rng = f.field, random.Random(seed)
     out = []
     for part, mult in squarefree_decomposition(f):
-        pairs, frob = _distinct_degree(part)
+        pairs, frob = _distinct_degree(F, part.codes)
         for prod_, d in pairs:
-            for irr in _equal_degree(prod_, d, rng):
+            for codes in _equal_degree(F, prod_, d, rng):
+                irr = Poly._make(F, codes)
                 try:
                     out.append((MonicIrreducible(irr, frob), mult))
                 except ValueError as exc:

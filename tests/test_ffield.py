@@ -239,7 +239,7 @@ def test_element_arithmetic_builds_no_tables(p, f):
     fld._bind()   # the kernel loops now read the tables
     assert fld._log is not None
     X, Y = Poly(fld, [x]), Poly(fld, [y])
-    want = [X * Y, X + Y, X - Y, Poly(fld, []) - X, X // Y]
+    want = [X * Y, X + Y, X - Y, Poly(fld, []) - X, divmod(X, Y)[0]]
     assert [Poly(fld, [z]) for z in got[:5]] == want
     assert [z.code for z in got[5:]] == [fld._pow(x.code, 5), fld._exp[1234]]
     assert x + y - y == x and -(-x) == x and x - y == x + -y

@@ -5,7 +5,7 @@ import pytest
 
 from genusfields import (InternalCheckError, MonicIrreducible, Poly, factor,
                          gcd, is_irreducible, poly_sort_key, pow_mod,
-                         squarefree_decomposition, valuation, variable)
+                         squarefree_decomposition, valuation)
 from genusfields import kernel, polyring
 from genusfields.cli import main
 
@@ -80,6 +80,33 @@ def test_squarefree_char_p_powers(F2, F9):
     assert squarefree_decomposition(s9 * r9 ** 6) == [(s9, 1), (r9, 6)]
 
 
+def test_factoring_divides_by_no_constant(F5, F9, F2, monkeypatch):
+    """The squarefree, distinct-degree and equal-degree stages divide on
+    code lists, never through ``Poly.__divmod__``, and never by a
+    constant: the squarefree loop stops at a constant gcd(w, c) in place
+    of dividing by 1, and a squarefree input takes the same exit."""
+    degrees, divmods = [], []
+    prepare, poly_divmod = kernel._divisor, Poly.__divmod__
+
+    def divisor(F, b, k):
+        degrees.append(len(b) - 1)
+        return prepare(F, b, k)
+
+    def counted_divmod(a, b):
+        divmods.append((a, b))
+        return poly_divmod(a, b)
+    monkeypatch.setattr(kernel, "_divisor", divisor)
+    monkeypatch.setattr(Poly, "__divmod__", counted_divmod)
+    for f in (P(F5, [0, 1, 2, 1]),                   # T(T+1)^2
+              P(F9, [0, 1]) * P(F9, [1, 1]) ** 3,    # T(T+1)^3
+              P(F2, [0, 0, 1, 0, 1]),                # T^4+T^2
+              P(F5, [1, 0, 1])):                     # squarefree (T+2)(T+3)
+        squarefree_decomposition(f)
+        factor(f)
+    assert degrees and min(degrees) >= 1
+    assert divmods == []
+
+
 def test_factor_examples(F5, F3, F2):
     assert [(coeff_ints(Q.poly), m) for Q, m in factor(P(F5, [1, 0, 1]))] == \
         [([(2,), (1,)], 1), ([(3,), (1,)], 1)]
@@ -97,7 +124,7 @@ def test_factor_errors(F5):
 
 
 def test_is_irreducible_examples(F5, F3):
-    assert is_irreducible(variable(F5))
+    assert is_irreducible(Poly.from_ints(F5, [0, 1]))
     assert not is_irreducible(P(F5, [1, 0, 1]))
     assert is_irreducible(P(F3, [1, 0, 1]))
     assert not is_irreducible(P(F5, [3]))
@@ -135,11 +162,11 @@ def test_equal_degree_split_ends(tmp_path, capsys, monkeypatch):
     F3 = field(3, 1)
     with pytest.raises(InternalCheckError,
                        match=r"^no equal-degree split of Poly\(deg=2, .*\) with d = 1$"):
-        polyring._equal_degree(P(F3, [1, 0, 1]), 1, random.Random(0))
+        polyring._equal_degree(F3, P(F3, [1, 0, 1]).codes, 1, random.Random(0))
     distinct_degree = polyring._distinct_degree
 
-    def all_linear(h):
-        pairs, frob = distinct_degree(h)
+    def all_linear(F, h):
+        pairs, frob = distinct_degree(F, h)
         return [(g, 1) for g, _ in pairs], frob
     monkeypatch.setattr(polyring, "_distinct_degree", all_linear)
     job = tmp_path / "job.txt"
@@ -188,13 +215,17 @@ def test_refactor_random(p, f):
 
 
 def test_factor_agrees_with_all_divisor_oracle():
-    rng = random.Random(6)
-    for p, f in FIELD_KEYS:
-        fld = field(p, f)
-        for _ in range(12):
-            poly = random_monic(fld, rng, 3)
-            got = [(Q.poly, m) for Q, m in factor(poly, seed=1)]
-            assert got == brute_force_factor(poly)
+    """On the fields of FIELD_KEYS, then on its extension fields untabled,
+    which factor on packed rows; each of those splits a product of equal
+    degree, F_4 and F_8 by the trace."""
+    packed = fields_at_table_limit(1, [key for key in FIELD_KEYS if key[1] > 1])
+    for fields in ([field(*key) for key in FIELD_KEYS], list(packed.values())):
+        rng = random.Random(6)
+        for fld in fields:
+            for _ in range(12):
+                poly = random_monic(fld, rng, 3)
+                got = [(Q.poly, m) for Q, m in factor(poly, seed=1)]
+                assert got == brute_force_factor(poly)
 
 
 def test_factor_seed_reproducible(F13):
@@ -222,7 +253,7 @@ def test_canonical_factor_order(F5, F9):
     assert keys == sorted(keys)
     # extension field: order is by dlog of coefficients, zero first
     g = F9.g
-    poly = Poly(F9, [g, F9.one]) * Poly(F9, [g ** 5, F9.one]) * variable(F9)
+    poly = Poly(F9, [g, F9.one]) * Poly(F9, [g ** 5, F9.one]) * Poly.from_ints(F9, [0, 1])
     keys = [Q.sort_key for Q, _ in factor(poly, seed=0)]
     assert keys == sorted(keys)
 
@@ -234,7 +265,7 @@ def test_poly_sort_key_prefix_rule(F5):
 
 def _frobenius_powers(h, n):
     """x^(q^j) mod h for j = 0..n, each by pow_mod of the last."""
-    powers = [variable(h.field) % h]
+    powers = [Poly.from_ints(h.field, [0, 1]) % h]
     for _ in range(n):
         powers.append(pow_mod(powers[-1], h.field.q, h))
     return [list(X.codes) for X in powers]
