@@ -6,16 +6,26 @@ invariant factors and the constant line are all lattice arithmetic on
 one form of L: a matrix V, invertible mod M, and s_1 | s_2 | ... | s_d | M
 with L V = (+)_j s_j Z.  :func:`smith_normal_form` builds it locally.
 For each prime power p^e exactly dividing M it eliminates the rows of A
-mod p^e.  Each pivot is the first entry, in row-major order, of least
-p-adic valuation v, so it divides every remaining entry of its row and
-column, and each step clears them with exact quotients; the diagonal
-entry is p^v, padded with p^e.  The column operations act on V alone,
-whose entries stay below p^e.  The Chinese remainder theorem joins the
-primes: s_j = prod_p p^(v_p,j), and column j of V is the sum of each
-prime's column j times its idempotent (1 mod p^e, 0 mod M / p^e),
-reduced mod s_j, which is all that membership and the constant line
-read.  A prime with v_p,j = 0 adds nothing there.  Each group's form is
-built once and cached, and the cache keeps the last 64 forms.
+mod p^e, held sparse: each row is a {column: entry} dict of its nonzero
+entries, and each column of V a {row: entry} dict, since the radicand
+rows have a few nonzero entries among many columns.  Each pivot is an
+entry of least p-adic valuation v, the first one in the first row that
+holds one (rows start sorted by length), so it divides every remaining
+entry of its row and column, and each step clears them with exact
+quotients, touching only the rows that hold the pivot column; the
+diagonal entry is p^v, padded with p^e.  The column operations act on V
+alone, whose entries stay below p^e.  The Chinese remainder theorem
+joins the primes: s_j = prod_p p^(v_p,j), and column j of V is the sum
+of each prime's column j times its idempotent (1 mod p^e, 0 mod
+M / p^e), reduced mod s_j, which is all that membership and the
+constant line read.  A prime with v_p,j = 0 adds nothing there.  V
+depends on the pivot order, but every answer read from the form is an
+invariant of L.
+
+A :class:`LatticeForm` holds the s_j and the columns of V as dense
+tuples.  Each group's form is built once and cached, and the cache keeps
+the last 64 forms.  Membership and the image orders loop over the
+nonzero entries of their vector only.
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import mul
 
 from .intmath import prime_factors
 
@@ -37,40 +46,40 @@ from .intmath import prime_factors
 LatticeForm = namedtuple("LatticeForm", "diag columns")
 
 
+def _sub(a, c, b, q):
+    """a - c * b mod q, in place, for {index: entry} dicts without zeros."""
+    for k, x in b.items():
+        y = (a.get(k, 0) - c * x) % q
+        if y:
+            a[k] = y
+        else:
+            a.pop(k, None)
+
+
 def _local_form(rows, n, p, q):
-    """The diagonal p^(v_j) and the columns of V for the rows mod
-    q = p^e (see the module docstring)."""
-    S = [r for r in ([x % q for x in row] for row in rows) if any(r)]
-    V = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)]
-    diag = []
-    d = 1
-    for t in range(min(len(S), n)):
-        while d < q:
-            piv = next(((i, j) for i in range(t, len(S)) for j in range(t, n)
-                        if S[i][j] % (d * p)), None)
-            if piv:
-                break
-            d *= p
-        if d == q:
-            break
-        i, j = piv
-        S[t], S[i] = S[i], S[t]
-        if j != t:
-            for row in S[t:]:
-                row[t], row[j] = row[j], row[t]
-            V[t], V[j] = V[j], V[t]
-        top = S[t]
-        inv = pow(top[t] // d, -1, q)
-        for row in S[t + 1:]:
-            c = row[t] // d * inv % q
-            if c:
-                row[t:] = [(a - c * b) % q for a, b in zip(row[t:], top[t:])]
-        for j in range(t + 1, n):
-            c = top[j] // d * inv % q
-            if c:
-                V[j] = [(a - c * b) % q for a, b in zip(V[j], V[t])]
-        diag.append(d)
-    return diag + [q] * (n - len(diag)), V
+    """(p^(v_j), column j of V) pairs, the p^(v_j) ascending and padded
+    with q, for the sparse rows mod q = p^e (see the module docstring).
+    Each multiplier c is a unit times a nonzero entry / p^v, which is
+    below q / p^v, so c is nonzero mod q."""
+    S = sorted((r for r in ({j: x % q for j, x in row.items() if x % q}
+                            for row in rows) if r), key=len)
+    V = {j: {j: 1} for j in range(n)}   # the columns not yet pivoted
+    out, d = [], 1
+    while S:
+        dp = d * p
+        while not any(x % dp for r in S for x in r.values()):
+            d, dp = dp, dp * p   # d = p^v for the least valuation v left
+        i, j = next((i, k) for i, r in enumerate(S) for k, x in r.items() if x % dp)
+        top = S.pop(i)
+        inv = pow(top.pop(j) // d, -1, q)
+        for row in [r for r in S if j in r]:
+            _sub(row, row.pop(j) // d * inv % q, top, q)
+        S = [r for r in S if r]
+        col = V.pop(j)
+        for k, b in top.items():
+            _sub(V[k], b // d * inv % q, col, q)
+        out.append((d, col))
+    return out + [(q, col) for col in V.values()]
 
 
 def smith_normal_form(matrix, modulus) -> LatticeForm:
@@ -82,16 +91,17 @@ def smith_normal_form(matrix, modulus) -> LatticeForm:
         raise ValueError("matrix rows must have equal length")
     if modulus < 1:
         raise ValueError("modulus must be positive")
+    rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
     diag = [1] * n
     columns = [[0] * n for _ in range(n)]
     for p in prime_factors(modulus):
         q = gcd(modulus, p ** modulus.bit_length())
         unit = modulus // q * pow(modulus // q, -1, q)  # the idempotent
-        local, V = _local_form(rows, n, p, q)
-        for j, t in enumerate(local):
+        for j, (t, col) in enumerate(_local_form(rows, n, p, q)):
             if t > 1:
                 diag[j] *= t
-                columns[j] = [a + unit * b for a, b in zip(columns[j], V[j])]
+                for i, x in col.items():
+                    columns[j][i] += unit * x
     return LatticeForm(tuple(diag), tuple(tuple(x % s for x in col)
                                           for s, col in zip(diag, columns)))
 
@@ -130,13 +140,14 @@ class RadicandGroup:
             raise ValueError("modulus or dimension mismatch")
 
     def member(self, vector) -> bool:
-        """Exact membership of a vector: (v V)_j must vanish mod s_j."""
-        v = tuple(int(x) % self.modulus for x in vector)
+        """Exact membership of a vector: (v V)_j must vanish mod s_j, read
+        over the nonzero entries of v and the s_j > 1."""
+        v = [int(x) % self.modulus for x in vector]
         if len(v) != self.dim:
             raise ValueError(f"vector has length {len(v)}, expected {self.dim}")
-        form = self._form()
-        return all(sum(map(mul, v, col)) % s == 0
-                   for s, col in zip(form.diag, form.columns))
+        nonzero = [(i, x) for i, x in enumerate(v) if x]
+        return all(sum(x * col[i] for i, x in nonzero) % s == 0
+                   for s, col in zip(*self._form()) if s > 1)
 
     def order(self) -> int:
         """Number of elements of the subgroup."""
@@ -181,7 +192,9 @@ class RadicandGroup:
         """Order of the image under v -> v . weights mod M, that is
         M / gcd(M, g . weights) over the generators g."""
         M = self.modulus
-        return M // gcd(M, *(sum(map(mul, g, weights)) for g in self.generators))
+        nonzero = [(i, w) for i, w in enumerate(weights) if w % M]
+        return M // gcd(M, *(sum(g[i] * w for i, w in nonzero)
+                             for g in self.generators))
 
 
 @lru_cache(maxsize=64)

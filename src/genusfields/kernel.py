@@ -21,8 +21,9 @@ a polynomial, or forms a product in the accumulator, and reduces it by a
 divisor prepared once (:func:`_divisor`), one row update per step.  A
 divisor prepared for k >= deg b row updates per coefficient is the row
 -b/lc(b), so its steps take no product.  ``pow_mod``, ``frobenius_rows``
-and ``rabin_holds`` prepare their modulus once, and :func:`valuation`
-its prime once a call.  Euclid's loop (:func:`gcd`) stops at a unit.
+and ``rabin_holds`` prepare their modulus once, and :func:`valuations`
+its prime once for all the polynomials it divides.  Euclid's loop
+(:func:`gcd`) stops at a unit.
 
 The Frobenius map v -> v^q on F_q[x]/(m) is F_q-linear, so once the
 rows x^(iq) mod m are known (:func:`frobenius_rows`, built from x^q mod m)
@@ -136,17 +137,21 @@ def div_mod(F, a, b):
     return quo, _mod(F, a, b, quo)
 
 
-def valuation(F, a, b):
-    """The largest v with b^v dividing a nonzero a, for b of degree >= 1:
-    b is prepared once, and a is divided by it until a remainder is
-    nonzero.  A coefficient takes at most deg b row updates."""
-    d, v = _divisor(F, b, len(b) - 1), 0
-    while len(a) >= len(b):
-        quo = [0] * (len(a) - len(b) + 1)
-        if _rem(F, d, a, quo=quo):
-            break
-        a, v = quo, v + 1
-    return v
+def valuations(F, polys, b):
+    """The largest v with b^v dividing a, for each nonzero a of ``polys``
+    and b of degree >= 1: b is prepared once for all of them, and each a
+    is divided by it until a remainder is nonzero.  A coefficient takes at
+    most deg b row updates."""
+    d, out = _divisor(F, b, len(b) - 1), []
+    for a in polys:
+        v = 0
+        while len(a) >= len(b):
+            quo = [0] * (len(a) - len(b) + 1)
+            if _rem(F, d, a, quo=quo):
+                break
+            a, v = quo, v + 1
+        out.append(v)
+    return out
 
 
 def pow_mod(F, a, e, m):

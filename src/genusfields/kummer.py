@@ -18,7 +18,8 @@ coordinate (`RadicandGroup.image_order`), read once per extension into
 ``ext.ramification``.  An oracle recomputes it componentwise over the
 basis that `normalize` built, with its own valuations.  The valuation of
 a radicand at the infinite place is -deg(D), so the index over 1/T is
-the order of the image under the weights -deg P.
+the order of the image under the weights -deg P.  ``ext.factored`` keeps
+each distinct radicand's factorization, which the audit multiplies back.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from math import gcd, lcm
 from .errors import InvalidDescriptorError
 from .ffield import FqField, FqElem
 from .groups import RadicandGroup
-from .polyring import MonicIrreducible, Poly, factor, valuation
+from .kernel import valuations
+from .polyring import MonicIrreducible, Poly, factor
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,7 @@ class NormalizedExtension:
     n: int                                # exponent of the Galois group
     degenerate: bool                      # K = k
     position: dict = dataclass_field(compare=False, repr=False)  # P -> index
+    factored: dict = dataclass_field(compare=False, repr=False)  # D -> factor(D)
 
     @property
     def field(self) -> FqField:
@@ -134,7 +137,7 @@ def normalize(desc: KummerDescriptor, seed: int = 0) -> NormalizedExtension:
     return NormalizedExtension(
         descriptor=desc, basis=basis, rows=rows, kept=kept,
         group=group, n=group.exponent(), degenerate=not kept,
-        position=position)
+        position=position, factored=factored)
 
 
 def ramification_indices(ext: NormalizedExtension) -> tuple:
@@ -153,15 +156,17 @@ def ramification_lcm_oracle(ext: NormalizedExtension) -> tuple:
     """Independent componentwise formula: e_P = lcm_i m_i / gcd(m_i, v_P(D_i)).
 
     Valuations by trial division at each prime of ``ext.basis``, not from
-    the rows.  Inertia in a tame abelian compositum is cyclic of lcm
-    order, so this must agree with :func:`ramification_indices`.
+    the rows or from `factor`: each prime is prepared once
+    (:func:`kernel.valuations`) and every radicand divided by it.  Inertia
+    in a tame abelian compositum is cyclic of lcm order, so this must
+    agree with :func:`ramification_indices`.
     """
+    comps = ext.descriptor.components
+    radicands = [comp.D.codes for comp in comps]
     entries = []
     for P in ext.basis:
-        e = 1
-        for comp in ext.descriptor.components:
-            v = valuation(comp.D, P) if comp.D.degree() > 0 else 0
-            e = lcm(e, comp.m // gcd(comp.m, v))
+        vs = valuations(ext.field, radicands, P.poly.codes)
+        e = lcm(*(comp.m // gcd(comp.m, v) for comp, v in zip(comps, vs)))
         if e > 1:
             entries.append((P, e))
     return tuple(entries)

@@ -335,4 +335,4 @@ def valuation(D: Poly, P: MonicIrreducible) -> int:
     if D.is_zero():
         raise ValueError("valuation of the zero polynomial is undefined")
     D._same_field(P.poly)
-    return _k.valuation(D.field, D.codes, P.poly.codes)
+    return _k.valuations(D.field, [D.codes], P.poly.codes)[0]

@@ -46,7 +46,7 @@ from .genus import (GenusField, clement_genus_field, compare,
                     verify_degree_formula)
 from .kummer import (KummerComponent, KummerDescriptor, infinite_ramification,
                      normalize, ramification_lcm_oracle)
-from .kernel import trim
+from .kernel import mul, trim
 from .polyring import Poly
 
 _MAX_EXPONENT = 1 << 12
@@ -410,6 +410,15 @@ def _audit(ext, cl, ra, rep):
         job = "; ".join(render_job(ext.descriptor).splitlines())
         raise InternalCheckError(f"{invariant} in job: {job}")
 
+    F = ext.field
+    for D, primes in ext.factored.items():   # D is monic
+        product = []   # no prime yet; the first one starts the product
+        for P, a in primes:
+            for _ in range(a):
+                product = (mul(F, product, P.poly.codes) if product
+                           else list(P.poly.codes))
+        if tuple(product) != D.codes:
+            fail("radicand factorization does not multiply back")
     if not verify_degree_formula(cl, ext):
         fail("degree formula violated")
     if not rep.k_in_rarzvi:

@@ -6,7 +6,7 @@ import pytest
 
 from genusfields import RadicandGroup, enumerate_subgroup, smith_normal_form
 from genusfields.groups import _lattice_form
-from genusfields.intmath import divisors
+from genusfields.intmath import divisors, prime_factors
 from genusfields.selftest import random_group, torsion_counts_match
 
 
@@ -249,3 +249,97 @@ def test_constant_subgroup_order_against_enumeration():
             if vec in elems:
                 best = max(best, d)
         assert G.constant_subgroup_order() == best
+
+
+# ---------------------------------------------------------------------------
+# the sparse form against the dense elimination it replaced
+
+def dense_local_form(rows, n, p, q):
+    """The dense elimination mod q = p^e: each pivot the first entry, in
+    row-major order, of least p-adic valuation; V as a list of columns."""
+    S = [r for r in ([x % q for x in row] for row in rows) if any(r)]
+    V = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)]
+    diag = []
+    d = 1
+    for t in range(min(len(S), n)):
+        while d < q:
+            piv = next(((i, j) for i in range(t, len(S)) for j in range(t, n)
+                        if S[i][j] % (d * p)), None)
+            if piv:
+                break
+            d *= p
+        if d == q:
+            break
+        i, j = piv
+        S[t], S[i] = S[i], S[t]
+        if j != t:
+            for row in S[t:]:
+                row[t], row[j] = row[j], row[t]
+            V[t], V[j] = V[j], V[t]
+        top = S[t]
+        inv = pow(top[t] // d, -1, q)
+        for row in S[t + 1:]:
+            c = row[t] // d * inv % q
+            if c:
+                row[t:] = [(a - c * b) % q for a, b in zip(row[t:], top[t:])]
+        for j in range(t + 1, n):
+            c = top[j] // d * inv % q
+            if c:
+                V[j] = [(a - c * b) % q for a, b in zip(V[j], V[t])]
+        diag.append(d)
+    return diag + [q] * (n - len(diag)), V
+
+
+def dense_form(rows, modulus, n):
+    """(diag, columns) of rowspace(rows) + modulus * Z^n, the local dense
+    forms joined by the Chinese remainder theorem."""
+    diag = [1] * n
+    columns = [[0] * n for _ in range(n)]
+    for p in prime_factors(modulus):
+        q = gcd(modulus, p ** modulus.bit_length())
+        unit = modulus // q * pow(modulus // q, -1, q)
+        local, V = dense_local_form(rows, n, p, q)
+        for j, t in enumerate(local):
+            if t > 1:
+                diag[j] *= t
+                columns[j] = [a + unit * b for a, b in zip(columns[j], V[j])]
+    return tuple(diag), [[x % s for x in col] for s, col in zip(diag, columns)]
+
+
+def dense_member(form, v):
+    return all(sum(a * b for a, b in zip(v, col)) % s == 0 for s, col in zip(*form))
+
+
+def sparse_vector(rng, M, dim, nonzero):
+    v = [0] * dim
+    for i in rng.sample(range(dim), min(nonzero, dim)):
+        v[i] = rng.randrange(1, M)
+    return tuple(v)
+
+
+def test_sparse_form_matches_dense_elimination():
+    # wide_basis-shaped generators: 0-50 rows, 1-45 columns, 1-4 nonzero
+    # entries per row, over the moduli of its fields and the benchmark's
+    rng = random.Random(26)
+    nonmembers = 0
+    for _ in range(150):
+        M = rng.choice([36, 60, 180] + BENCHMARK_MODULI)
+        dim = rng.randint(1, 45)
+        gens = [sparse_vector(rng, M, dim, rng.randint(1, 4))
+                for _ in range(rng.randint(0, 50))]
+        G = RadicandGroup.spanned_by(M, dim, gens)
+        diag, columns = dense = dense_form(G.generators, M, dim)
+        assert G._form().diag == diag
+        assert G.constant_subgroup_order() == M // lcm(
+            *(s // gcd(s, col[0]) for s, col in zip(diag, columns)))
+        for _ in range(10):
+            v = [0] * dim
+            for g in rng.sample(gens, min(3, len(gens))):
+                c = rng.randrange(M)
+                v = [a + c * b for a, b in zip(v, g)]
+            assert G.member(v) and dense_member(dense, v)
+        others = [sparse_vector(rng, M, dim, rng.randint(1, 4)) for _ in range(20)]
+        found = [G.member(v) for v in others]
+        assert found == [dense_member(dense, v) for v in others]
+        nonmembers += found.count(False)
+    assert nonmembers > 1000

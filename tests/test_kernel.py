@@ -298,11 +298,12 @@ def test_slot_width_follows_operand_length():
 @pytest.mark.parametrize("fields", [TABLED, UNTABLED], ids=["tabled", "untabled"])
 def test_moduli_are_prepared_once(fields, monkeypatch):
     """pow_mod, frobenius_rows and rabin_holds prepare their modulus once,
-    however many reductions they make, and valuation its prime once per
-    call, however many times the prime divides.  A divisor is stored as
-    the row -b/lc(b) exactly when a coefficient may take k >= deg b row
-    updates, and otherwise as b with the factor -1/lc(b) per step; here
-    for a non-monic b over F_9 and 3^10."""
+    however many reductions they make, and valuations its prime once per
+    call, for all the polynomials it divides and however many times the
+    prime divides them.  A divisor is stored as the row -b/lc(b) exactly
+    when a coefficient may take k >= deg b row updates, and otherwise as
+    b with the factor -1/lc(b) per step; here for a non-monic b over F_9
+    and 3^10."""
     fld = fields[(3, 2)]
     calls, prepare = [], kernel._divisor
 
@@ -332,6 +333,10 @@ def test_moduli_are_prepared_once(fields, monkeypatch):
         calls.clear()
         assert polyring.valuation(D, P) == v
         assert [list(b) for b in calls] == [[g, one]]
+    calls.clear()
+    powers = [list((Poly.from_ints(fld, [0, 1]) * P.poly ** v).codes) for v in range(4)]
+    assert kernel.valuations(fld, powers + [[g]], P.poly.codes) == [0, 1, 2, 3, 0]
+    assert [list(b) for b in calls] == [[g, one]]
     for F in (fld, build_field(3, 10)):
         b = [F.g.code, 0, F._one, F.g.code, (F.g ** 3).code]
         neg = -F.one / F.from_index(b[-1])

@@ -4,9 +4,10 @@ from math import gcd, lcm, prod
 import pytest
 
 from genusfields import (InvalidDescriptorError, KummerComponent,
-                         KummerDescriptor, Poly, infinite_ramification,
-                         normalize, ramification_indices,
-                         ramification_lcm_oracle, render_poly)
+                         KummerDescriptor, Poly, build_field,
+                         infinite_ramification, kernel, normalize,
+                         ramification_indices, ramification_lcm_oracle,
+                         render_poly)
 from genusfields.selftest import random_descriptor
 
 P = Poly.from_ints
@@ -78,6 +79,28 @@ def test_lcm_oracle_examples(F5):
     assert ram_list(ramification_lcm_oracle(normalize(desc))) == [("T", 2)]
     desc = KummerDescriptor(F5, (comp(F5, 2, [2, 3, 1], 4),))   # squarefree D
     assert all(e == 4 for _, e in ramification_lcm_oracle(normalize(desc)))
+
+
+def test_lcm_oracle_prepares_each_prime_once(monkeypatch):
+    """One job of ten components over F_181, radicands of degree 6-12:
+    the oracle prepares each basis prime once for all radicands, and
+    agrees with the group's indices."""
+    fld = build_field(181, 1)
+    rng = random.Random(26)
+    comps = [KummerComponent(fld.from_index(rng.randrange(1, 181)),
+                             P(fld, [rng.randrange(181) for _ in range(d)] + [1]),
+                             rng.choice([2, 3, 4, 6, 9, 10, 12, 20, 36, 180]))
+             for d in rng.choices(range(6, 13), k=10)]
+    ext = normalize(KummerDescriptor(fld, tuple(comps)))
+    calls, prepare = [], kernel._divisor
+
+    def counted(F, b, *args):
+        calls.append(tuple(b))
+        return prepare(F, b, *args)
+    monkeypatch.setattr(kernel, "_divisor", counted)
+    assert ramification_lcm_oracle(ext) == ramification_indices(ext)
+    assert len(ext.basis) >= 20
+    assert sorted(calls) == sorted(Q.poly.codes for Q in ext.basis)
 
 
 def test_infinite_ramification_examples(F5):

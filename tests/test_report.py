@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import genusfields.kummer as kummer_mod
 import genusfields.report as report_mod
 from genusfields import (InternalCheckError, InvalidDescriptorError, JobConfig,
                          KummerComponent, ParseError, Poly, RadicandGroup,
@@ -451,6 +452,50 @@ def test_audit_failure_names_invariant_and_job(tmp_path, capsys, monkeypatch,
 # command line
 
 JOB = "field p=5 f=1\ncomponent gamma=4 D=T m=2\n"
+
+
+# factorizations that lose a prime or overstate one, and the radicands
+# each one changes
+FACTOR_MUTANTS = {
+    "last_prime_dropped": (lambda fac: fac[:-1] if len(fac) > 1 else fac,
+                           lambda fac: len(fac) > 1),
+    "multiplicities_raised": (lambda fac: [(Q, a + 1) for Q, a in fac],
+                              lambda fac: len(fac) > 0),
+}
+
+
+@pytest.mark.parametrize("mutant", FACTOR_MUTANTS)
+def test_audit_catches_a_wrong_factorization(tmp_path, capsys, monkeypatch,
+                                             mutant):
+    """Every job with a radicand that the mutant changes fails the product
+    check, named with its job, and the CLI exits 4; jobs it leaves alone
+    pass."""
+    change, changes = FACTOR_MUTANTS[mutant]
+    real = kummer_mod.factor
+    monkeypatch.setattr(kummer_mod, "factor",
+                        lambda f, seed=0: change(real(f, seed)))
+    text = "field p=5 f=1\ncomponent gamma=4 D=T^2+T m=2\n"
+    invariant = "radicand factorization does not multiply back"
+    with pytest.raises(InternalCheckError) as info:
+        run(parse_input(text))
+    assert str(info.value) == (
+        f"{invariant} in job: field p=5 f=1; component gamma=4 D=T^2+T m=2")
+    job = tmp_path / "job.txt"
+    job.write_text(text, encoding="utf-8")
+    assert main(["compute", str(job)]) == 4
+    assert capsys.readouterr().err == f"internal invariant violation: {info.value}\n"
+    rng = random.Random(26)
+    caught = 0
+    for _ in range(60):
+        desc = random_descriptor(rng)
+        config = _config(desc.field, desc.components)
+        if any(changes(real(c.D)) for c in desc.components if c.D.degree() > 0):
+            with pytest.raises(InternalCheckError, match=invariant):
+                run(config)
+            caught += 1
+        else:
+            run(config)
+    assert caught >= 20
 
 
 def test_cli_compute_text(tmp_path, capsys):
