@@ -16,8 +16,11 @@ the coding, and every loop in it runs on codes; coordinate tuples are
 only read or written at its API.  The element arithmetic is
 :func:`_code_ops`: residues mod p on prime fields, and for f > 1 one
 packed integer product per element product, its digits reduced straight
-into a code.  :class:`FqElem` wraps a code and computes with it, as do the
-generator search, the table build and the baby-step search.
+into a code.  For f > 1 it also takes the Frobenius maps a -> a^(p^k),
+F_p-linear, by one table read per quarter of the code and one reduction,
+and from them inverses (Itoh and Tsujii's chain, inside ``power``) and the
+norm to F_p.  :class:`FqElem` wraps a code and computes with it, as do
+the generator search, the table build and the discrete-log search.
 
 The polynomial loops of :mod:`kernel` run through three operations a
 field binds on first use: ``_mul``, ``_pow`` and ``_rows(k, size)``,
@@ -65,9 +68,18 @@ keep the lists.
 Discrete logarithms are always taken to the canonical generator: read
 from ``_log`` on tabled fields.  Other fields, prime ones included, keep
 a log memo (code -> k) that every ``dlog`` and every power of g fills,
-so a parsed ``g^k`` renders back without a search; a miss runs
-baby-step giant-step, whose first search writes the baby steps into the
-memo.  Everything is exact.
+so a parsed ``g^k`` renders back without a search.  A miss runs
+Pohlig-Hellman over the prime powers of q - 1: each base-l digit of the
+log is a baby-step giant-step search in the subgroup of prime order l,
+whose baby steps the first search writes into the memo, so when q - 1 is
+prime it is one such search over the whole group.  On extension fields
+a power of g is a product of entries of a table of g^(2^i), built on the
+first power of g.
+
+The field searches are cheap tests first: the modulus search skips
+Rabin's test for a candidate with the root 0, 1 or -1, and the
+generator search tests each prime l | p - 1 on the candidate's norm, in
+F_p.  Neither moves the presentation.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -189,26 +201,42 @@ def _packing(p, f, modulus, width):
 
 
 def _code_ops(p, f, modulus):
-    """``(mul, power, pack, reduce)`` on the codes of F_(p^f) mod ``modulus``.
+    """``(mul, power, pack, reduce, norm)`` on the codes of F_(p^f) mod
+    ``modulus``.
 
     ``mul(a, b)`` is the code of a * b, ``power(a, e)`` that of
-    a^(e mod (q - 1)).  Prime fields get residue arithmetic, with
-    ``pack`` the identity and ``reduce`` the residue mod p.  For f > 1
-    ``pack`` and ``reduce`` are :func:`_packing`'s for one product on a
-    reduced digit, so ``reduce(pack(c) * pack(b) + pack(a))`` is
-    c * b + a.
+    a^(e mod (q - 1)), and ``norm(a)`` the residue in [0, p) of the norm
+    N(a) = a^r to F_p, r = (q - 1)/(p - 1).  Prime fields get residue
+    arithmetic, with ``pack`` the identity, ``reduce`` the residue mod p
+    and ``norm`` the identity.  For f > 1 ``pack`` and ``reduce`` are
+    :func:`_packing`'s for one product on a reduced digit, so
+    ``reduce(pack(c) * pack(b) + pack(a))`` is c * b + a.
+
+    For f > 1 the Frobenius maps a -> a^(p^k) are F_p-linear, so each is
+    built as ``pack`` is, from tables of packed images of parts of the
+    code, and one ``reduce`` (:func:`frob`); the tables of each k are made
+    on first use and kept with these operations.  They are quarters, not
+    halves: a job takes 30 to 50 inverses, and half tables, about p^(f/2)
+    entries per k, cost more to build at 2^16 and 2^17 than those
+    inverses save.  Itoh and Tsujii's addition chain takes a^(r-1) from
+    them (:func:`chain`), so the norm is one more product, and ``power``
+    inverts (e = -1 mod q - 1) as a^(-1) = N(a)^(-1) a^(r-1), N(a) being
+    in F_p.  Other exponents go by square and multiply.
     """
     n = p ** f - 1
     if f == 1:
         return (lambda a, b: a * b % p, lambda a, e: pow(a, e % n, p),
-                pos, p.__rmod__)
+                pos, p.__rmod__, pos)
     pack, reduce = _packing(p, f, modulus, _width(p, f, 1))
+    one, frobs = p ** (f - 1), {}
+    quarter = -(-f // 4)   # coordinates per quarter of a code
+    base = p ** quarter
 
     def mul(a, b):
         return reduce(pack(a) * pack(b))
 
-    def power(a, e):
-        r, e, pa = p ** (f - 1), e % n, pack(a)
+    def square_multiply(a, e):
+        r, pa = one, pack(a)
         while e:
             if e & 1:
                 r = reduce(pack(r) * pa)
@@ -216,23 +244,81 @@ def _code_ops(p, f, modulus):
             if e:
                 pa = pack(reduce(pa * pa))
         return r
-    return mul, power, pack, reduce
+
+    def frob(a, k):
+        """a^(p^k), the sum of c_i (x^(p^k))^i over a's coordinates c_i:
+        four tables, one per quarter of the code from its low end, hold
+        the packed sums of a quarter, and one ``reduce`` takes their total,
+        whose digits stay below what one product leaves."""
+        t = frobs.get(k)
+        if t is None:
+            # x^(p^k), from x's code p^(f-2)
+            image = square_multiply(p ** (f - 2), p ** k)
+            images = [pack(one), pack(image)]
+            for _ in range(f - 2):
+                images.append(pack(reduce(images[-1] * images[1])))
+            ends = [max(f - j * quarter, 0) for j in range(5)]
+            t = frobs[k] = [_digit_table(images[lo:hi], range(p))
+                            for hi, lo in zip(ends, ends[1:])]
+        a, r0 = divmod(a, base)
+        a, r1 = divmod(a, base)
+        r3, r2 = divmod(a, base)
+        return reduce(t[0][r0] + t[1][r1] + t[2][r2] + t[3][r3])
+
+    def chain(a):
+        """``(a^(r-1), N(a))``: with b_k = a^(1 + p + ... + p^(k-1)),
+        b_(2k) = b_k^(p^k) b_k and b_(k+1) = b_k^p a reach b_(f-1) in about
+        2 log2(f) products, and a^(r-1) = b_(f-1)^p."""
+        b, k = a, 1
+        for bit in bin(f - 1)[3:]:
+            b, k = mul(frob(b, k), b), 2 * k
+            if bit == "1":
+                b, k = mul(frob(b, 1), a), k + 1
+        b = frob(b, 1)
+        return b, mul(b, a) // one
+
+    def power(a, e):
+        e %= n
+        if e == n - 1 and a:
+            b, c = chain(a)
+            return reduce(pack(b) * pow(c, -1, p))
+        return square_multiply(a, e)
+    return mul, power, pack, reduce, lambda a: chain(a)[1]
 
 
-def _is_generator(a, q, one, power):
-    """Whether code a has order q - 1: a^((q-1)/l) != 1 for each prime l | q - 1."""
-    return a != 0 and all(power(a, (q - 1) // ell) != one
-                          for ell in prime_factors(q - 1))
+def _generator_test(p, q, ops):
+    """The test whether a code has order q - 1: a^((q-1)/l) != 1 for each
+    prime l | q - 1.  For l | p - 1 that power is N(a)^((p-1)/l), so those
+    tests read one norm, in F_p, and come first."""
+    power, norm, one = ops[1], ops[4], q // p
+    primes = prime_factors(q - 1)
+    small = [(p - 1) // ell for ell in primes if (p - 1) % ell == 0]
+    large = [(q - 1) // ell for ell in primes if (p - 1) % ell]
+
+    def test(a):
+        if not a:
+            return False
+        if small:
+            c = norm(a)
+            if any(pow(c, e, p) == 1 for e in small):
+                return False
+        return all(power(a, e) != one for e in large)
+    return test
 
 
 def _find_modulus(p, f):
     if f == 1:
         return (0, 1)
     fp = build_field(p, 1)
-    # constant term 0 means divisibility by x, so start past those vectors
+    # A root in F_p is a linear factor, so a candidate with the root 0
+    # (constant term 0; the search starts past those vectors), 1 or -1 (a
+    # coefficient sum, or alternating sum, of 0 mod p) skips Rabin's test.
+    # Those are all of F_2's and F_3's roots; trying every root costs O(p)
+    # per candidate, more than Rabin's test at large p.
     for k in range(p ** (f - 1), p ** f):
         cand = _index_coeffs(k, p, f) + (1,)
-        if rabin(fp, list(cand)):
+        if sum(cand) % p and (sum(cand[::2]) - sum(cand[1::2])) % p and \
+                rabin(fp, list(cand)):
             return cand
     raise ValueError(f"no monic irreducible of degree {f} over F_{p}")  # unreachable
 
@@ -284,15 +370,16 @@ def build_field(p: int, f: int, *, modulus=None, generator=None) -> "FqField":
         if f > 1 and not rabin(build_field(p, 1), list(modulus)):
             raise FieldArgumentError("modulus", "modulus is not irreducible over F_p")
 
-    ops, one = _code_ops(p, f, modulus), p ** (f - 1)
+    ops = _code_ops(p, f, modulus)
+    is_generator = _generator_test(p, q, ops)
     if generator is None:
-        gcode = next(a for a in range(1, q) if _is_generator(a, q, one, ops[1]))
+        gcode = next(filter(is_generator, range(1, q)))
     else:
         generator = tuple(int(c) % p for c in generator)
         if len(generator) != f:
             raise FieldArgumentError("generator", "generator must have f coordinates")
         gcode = _index(generator, p)
-        if not _is_generator(gcode, q, one, ops[1]):
+        if not is_generator(gcode):
             raise FieldArgumentError("generator",
                                      "generator does not have order q - 1")
 
@@ -406,7 +493,7 @@ class FqField:
 
     __slots__ = ("p", "f", "q", "modulus", "_gcode", "_one", "_hash", "_ops",
                  "_tabled", "_exp", "_log", "_zech", "_memo", "_baby",
-                 "_minus_one", "_packs") + _CODE_OPS
+                 "_squares", "_minus_one", "_packs") + _CODE_OPS
 
     def __init__(self, p, f, modulus, gcode, ops):
         self.p = p
@@ -418,7 +505,7 @@ class FqField:
         self._minus_one = self._int(-1)
         self._ops = ops
         self._tabled = f > 1 and self.q <= _TABLE_LIMIT
-        self._exp = self._log = self._zech = self._baby = None
+        self._exp = self._log = self._zech = self._baby = self._squares = None
         self._memo, self._packs = {}, {}
         self._hash = hash(("FqField", p, f, self.modulus, gcode))
 
@@ -558,7 +645,7 @@ class FqField:
         width = _width(p, f, k)
         rows = self._packs.get(width)
         if rows is None:
-            pack, reduce = self._ops[2:] if width == _width(p, f, 1) else \
+            pack, reduce = self._ops[2:4] if width == _width(p, f, 1) else \
                 _packing(p, f, self.modulus, width)
             size = (2 * f - 1) * width // 8   # bytes per slot
             bits, slot = 8 * size, (1 << 8 * size) - 1
@@ -587,7 +674,7 @@ class FqField:
         """Exponent k with g^k = x, for nonzero x; a residue modulo q - 1.
 
         Read from ``_log`` on tabled fields, else from the log memo, else
-        found by baby-step giant-step and noted in the memo."""
+        found by :meth:`_search` and noted in the memo."""
         self._check_elem(x)
         code = x.code
         if not code:
@@ -599,26 +686,98 @@ class FqField:
             k = self._memo[code] = self._search(code)
         return k
 
-    def _search(self, code):
-        """Baby-step giant-step: the first search writes the baby steps, code
-        of g^j -> j for j < m = ceil(sqrt(q - 1)), into the log memo and keeps
-        the packed giant step g^(-m); a search takes at most m + 1 giant
-        steps, up to the first code whose log the memo holds."""
-        n, memo = self.q - 1, self._memo
-        _, power, pack, reduce = self._ops
-        if self._baby is None:
-            m, g, t = isqrt(n - 1) + 1, pack(self._gcode), self._one
+    def _gpower(self, e):
+        """The code of g^(e mod (q - 1)), noted in the log memo so that a
+        parsed ``g^k`` renders back without a search.  For f > 1 it is a
+        product of entries of the table of g^(2^i), built on the first
+        power of g."""
+        e %= self.q - 1
+        if self.f == 1:
+            code = self._ops[1](self._gcode, e)
+        else:
+            if self._squares is None:
+                self._squares = self._square_table(self._gcode)
+            code = self._table_power(self._squares, e)
+        self._memo[code] = e
+        return code
+
+    def _square_table(self, code):
+        """The packed code^(2^i) for i < bitlen(q - 1), for f > 1."""
+        _, _, pack, reduce, _ = self._ops
+        table = [pack(code)]
+        for _ in range((self.q - 1).bit_length() - 1):
+            table.append(pack(reduce(table[-1] ** 2)))
+        return table
+
+    def _table_power(self, table, e):
+        """The code of the product of table[i] over the set bits i of e."""
+        _, _, pack, reduce, _ = self._ops
+        picked = [t for i, t in enumerate(table) if e >> i & 1]
+        code = reduce(picked[0]) if picked else self._one
+        for t in picked[1:]:
+            code = reduce(pack(code) * t)
+        return code
+
+    def _prime_powers(self):
+        """What every search reads, built on the first: for each prime power
+        l^e of q - 1, ``(l, e, c, w, m, giant)`` with c = (q - 1)/l^e, w the
+        CRT weight of a log mod l^e (w = 1 mod l^e, 0 mod c), and the
+        baby-step giant-step data of the subgroup of order l, generated by
+        g^s, s = (q - 1)/l: m = ceil(sqrt(l)) baby steps, code of g^(s j) ->
+        s j, written into the log memo, and the packed giant step
+        g^(-s m)."""
+        n, memo, mul, pack = self.q - 1, self._memo, self._ops[0], self._ops[2]
+        steps = []
+        for ell in prime_factors(n):
+            e, c = 0, n
+            while c % ell == 0:
+                e, c = e + 1, c // ell
+            s, m, t = n // ell, isqrt(ell - 1) + 1, self._one
+            step = self._gpower(s)
             for j in range(m):
-                memo[t] = j
-                t = reduce(pack(t) * g)
-            self._baby = m, pack(power(self._gcode, n - m))
-        m, giant = self._baby
-        for i in range(m + 1):
-            j = memo.get(code)
-            if j is not None:
-                return (i * m + j) % n
-            code = reduce(pack(code) * giant)
-        raise ValueError("dlog failed; element not in the multiplicative group")
+                memo[t] = s * j
+                t = mul(t, step)
+            steps.append((ell, e, c, c * pow(c, -1, ell ** e) % n, m,
+                          pack(self._gpower(-s * m))))
+        return steps
+
+    def _search(self, code):
+        """Pohlig-Hellman: the log of x mod each prime power l^e of q - 1 is
+        that of y = x^c to the base g^c, found one base-l digit at a time
+        by a baby-step giant-step search in the subgroup of order l
+        (:meth:`_prime_powers`), which takes at most m + 1 giant steps, up
+        to the first code whose log the memo holds.  The logs mod the prime
+        powers join by their CRT weights.  For f > 1 the powers x^c are
+        products of one table of x^(2^i).  When q - 1 is prime this is one
+        baby-step giant-step search over the whole group."""
+        n, memo = self.q - 1, self._memo
+        mul, power, pack, reduce, _ = self._ops
+        if self._baby is None:
+            self._baby = self._prime_powers()
+        table = None
+        if self.f > 1 and len(self._baby) > 1:   # x^c for several c
+            table = self._square_table(code)
+        k = 0
+        for ell, e, c, w, m, giant in self._baby:
+            # y = x^c = (g^c)^t; the digits of t go into t and out of y
+            y = self._table_power(table, c) if table else power(code, c)
+            t, s = 0, n // ell
+            for j in range(e):
+                h = power(y, ell ** (e - 1 - j)) if j < e - 1 else y   # g^(s d)
+                for i in range(m + 1):
+                    d = memo.get(h)
+                    if d is not None:
+                        break
+                    h = reduce(pack(h) * giant)
+                else:
+                    raise ValueError("dlog failed; element not in the "
+                                     "multiplicative group")
+                d = (d // s + i * m) % ell * ell ** j
+                if d and j < e - 1:
+                    y = mul(y, self._gpower(-c * d))
+                t += d
+            k += t * w
+        return k % n
 
     def _check_elem(self, x):
         if not isinstance(x, FqElem) or (x.field is not self and x.field != self):
@@ -653,17 +812,17 @@ class FqElem:
 
     def __add__(self, other):
         self._same_field(other)
-        _, _, pack, reduce = self.field._ops
+        _, _, pack, reduce, _ = self.field._ops
         return FqElem(self.field, reduce(pack(self.code) + pack(other.code)))
 
     def __sub__(self, other):
         self._same_field(other)
         F = self.field
-        _, _, pack, reduce = F._ops
+        _, _, pack, reduce, _ = F._ops
         return FqElem(F, reduce(pack(self.code) + pack(other.code) * (F.p - 1)))
 
     def __neg__(self):
-        _, _, pack, reduce = self.field._ops
+        _, _, pack, reduce, _ = self.field._ops
         return FqElem(self.field, reduce(pack(self.code) * (self.field.p - 1)))
 
     def __mul__(self, other):
@@ -674,7 +833,7 @@ class FqElem:
         self._same_field(other)
         if not other:
             raise ZeroDivisionError("division by zero in F_q")
-        mul, power, _, _ = self.field._ops
+        mul, power, *_ = self.field._ops
         return FqElem(self.field, mul(self.code, power(other.code, -1)))
 
     def __pow__(self, e):
@@ -687,10 +846,9 @@ class FqElem:
                 return self.field.one
             raise ZeroDivisionError("negative power of zero in F_q")
         F = self.field
-        code = F._ops[1](self.code, e)
-        if self.code == F._gcode:   # so a parsed g^k renders back without a search
-            F._memo[code] = e % (F.q - 1)
-        return FqElem(F, code)
+        if self.code == F._gcode:
+            return FqElem(F, F._gpower(e))
+        return FqElem(F, F._ops[1](self.code, e))
 
     def __eq__(self, other):
         if not isinstance(other, FqElem):

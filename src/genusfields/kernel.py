@@ -20,10 +20,10 @@ prepares and reads its rows under one choice.
 a polynomial, or forms a product in the accumulator, and reduces it by a
 divisor prepared once (:func:`_divisor`), one row update per step.  A
 divisor prepared for k >= deg b row updates per coefficient is the row
--b/lc(b), so its steps take no product.  ``pow_mod``, ``frobenius_rows``
-and ``rabin_holds`` prepare their modulus once, and :func:`valuations`
-its prime once for all the polynomials it divides.  Euclid's loop
-(:func:`gcd`) stops at a unit.
+-b/lc(b), so its steps take no product.  ``pow_mod``, ``trace_mod``,
+``frobenius_rows`` and ``rabin_holds`` prepare their modulus once, and
+:func:`valuations` its prime once for all the polynomials it divides.
+Euclid's loop (:func:`gcd`) stops at a unit.
 
 The Frobenius map v -> v^q on F_q[x]/(m) is F_q-linear, so once the
 rows x^(iq) mod m are known (:func:`frobenius_rows`, built from x^q mod m)
@@ -168,6 +168,19 @@ def pow_mod(F, a, e, m):
         if e:
             acc = _rem(F, d, acc, acc)
     return result
+
+
+def trace_mod(F, a, k, m):
+    """a + a^2 + a^4 + ... + a^(2^(k-1)) mod m, for a reduced mod m (degree
+    >= 1): in characteristic 2 with q = 2^f and k = d f, the absolute trace
+    to F_2 of a in F_q[x]/(m) when m is a product of primes of degree d.
+    m is prepared once for all k - 1 squarings."""
+    d = _divisor(F, m, 2 * len(m) - 2)
+    acc = term = a
+    for _ in range(k - 1):
+        term = _rem(F, d, term, term)
+        acc = add(F, acc, term)
+    return acc
 
 
 def monic(F, a):

@@ -259,13 +259,8 @@ def _equal_degree(F: FqField, h, d: int, rng: random.Random) -> list:
         if F.p != 2:
             u = _k.pow_mod(F, r, (F.q ** d - 1) // 2, h)
             split = _k.gcd(F, h, _k.sub(F, u, [F._one]))
-        else:
-            # absolute trace map to F_2 over F_(2^f): sum of 2^j-th powers
-            acc = term = r   # deg r < deg h
-            for _ in range(d * F.f - 1):
-                term = _k.pow_mod(F, term, 2, h)
-                acc = _k.add(F, acc, term)
-            split = _k.gcd(F, h, acc)
+        else:   # the absolute trace to F_2; deg r < deg h
+            split = _k.gcd(F, h, _k.trace_mod(F, r, d * F.f, h))
         if 1 < len(split) <= n:
             return _equal_degree(F, split, d, rng) + \
                 _equal_degree(F, _k.div_mod(F, h, split)[0], d, rng)

@@ -105,14 +105,27 @@ def check_dlog_roundtrip():
 
 
 def check_dlog_search(rng, count=50):
-    """Round trips on 2^17, above the table limit: the baby-step
-    giant-step search and its log memo."""
-    field = build_field(2, 17)
-    g = field.g
+    """Round trips above the table limit: on 2^16, where q - 1 = 3 * 5 * 17
+    * 257 and the Pohlig-Hellman search splits, and on 2^17, where q - 1
+    is prime and it is one baby-step giant-step search; and the log memo."""
+    for p, f in ((2, 16), (2, 17)):
+        field = build_field(p, f)
+        g = field.g
+        for _ in range(count):
+            x = field.from_index(rng.randrange(1, field.q))
+            # the second dlog of x is read from the memo the first one filled
+            if g ** x.dlog() != x or g ** x.dlog() != x:
+                return False
+    return True
+
+
+def check_inverse(rng, count=50):
+    """Itoh-Tsujii inverses on 3^11, above the table limit: x * x^(-1) = 1
+    and (x^(-1))^(-1) = x."""
+    field = build_field(3, 11)
     for _ in range(count):
         x = field.from_index(rng.randrange(1, field.q))
-        # the second dlog of x is read from the memo the first one filled
-        if g ** x.dlog() != x or g ** x.dlog() != x:
+        if x * x ** -1 != field.one or (field.one / x) ** -1 != x:
             return False
     return True
 
@@ -203,6 +216,7 @@ def run_selftest(seed: int = 0, write=print) -> bool:
         ("dlog round trip", check_dlog_roundtrip),
         ("dlog search round trip",
          lambda: check_dlog_search(random.Random(seed))),
+        ("untabled inverse round trip", lambda: check_inverse(random.Random(seed))),
         ("factorization refactors", lambda: check_factor_refactors(rng)),
         ("untabled odd-p refactors",
          lambda: check_factor_refactors(random.Random(seed), 4, ((3, 9),), 5)),

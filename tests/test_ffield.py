@@ -4,9 +4,10 @@ import time
 import pytest
 
 from genusfields import Poly, build_field, element_sort_key, parse_input, render_job
-from genusfields import ffield
+from genusfields import ffield, kernel
+from genusfields.intmath import is_prime, prime_factors
 
-from conftest import FIELD_KEYS, field
+from conftest import FIELD_KEYS, field, fields_at_table_limit
 
 
 def test_build_field_f5():
@@ -63,6 +64,9 @@ def test_overrides_validated():
     alt = build_field(5, 1, generator=(3,))
     assert alt.g.coeffs == (3,)
     assert alt.dlog(alt.const(4)) == 2       # 3^2 = 9 = 4
+    with pytest.raises(ValueError):
+        build_field(3, 2, generator=(0, 1))  # x^2 = -1: order 4, norm x^4 = 1
+    assert build_field(3, 2, generator=(2, 1)).g.coeffs == (2, 1)   # order 8
 
 
 def test_arith_examples():
@@ -187,12 +191,15 @@ def test_search_agrees_with_tables(p, f, monkeypatch):
 
 
 def test_search_builds_one_baby_step_table():
+    """The first search builds the Pohlig-Hellman steps, one per prime
+    power of q - 1 = 2 * 13 * 757, and every later search reads them."""
     fld = build_field(3, 9)
     assert fld.q > ffield._TABLE_LIMIT and fld._baby is None
     rng = random.Random(4)
     xs = [fld.from_index(rng.randrange(1, fld.q)) for _ in range(40)]
     fld.dlog(xs[0])
     table = fld._baby
+    assert [(ell, e) for ell, e, *_ in table] == [(2, 1), (13, 1), (757, 1)]
     logs = [fld.dlog(x) for x in xs]
     assert fld._baby is table
     assert [fld.dlog(x) for x in xs] == logs
@@ -345,3 +352,110 @@ def test_element_sort_key():
     assert element_sort_key(F9.zero) == -1
     assert element_sort_key(F9.one) == 0
     assert element_sort_key(F9.g) == 1
+
+
+def _power_by_products(x, k):
+    """x^k for k >= 0 by square and multiply on ``FqElem`` products, which
+    neither read nor fill the log memo: the oracle of ``**``, ``/`` and
+    ``dlog`` below."""
+    out = x.field.one
+    while k:
+        if k & 1:
+            out = out * x
+        x, k = x * x, k >> 1
+    return out
+
+
+# untabled at the default limit: the extension fields of the large_field
+# benchmark and 2^14 and 3^9, just past the limit; and small fields built
+# untabled
+LARGE_EXTENSION_KEYS = ((3, 10), (2, 16), (2, 17), (3, 11), (2, 14), (3, 9))
+SMALL_UNTABLED = fields_at_table_limit(
+    1, ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)))
+
+
+@pytest.mark.parametrize("key", LARGE_EXTENSION_KEYS + tuple(SMALL_UNTABLED),
+                         ids=lambda key: f"{key[0]}^{key[1]}")
+def test_inverses_and_generator_powers_match_products(key):
+    """Itoh-Tsujii inverses (``x ** -1``, ``/``, the kernel's ``_pow(c, -1)``)
+    against a^(q-2), the norm against a^((q-1)/(p-1)), and powers of g,
+    read from the table of g^(2^i), against square and multiply, all by
+    products; the codes q - 1 ... q - 3 have the largest digits."""
+    fld = SMALL_UNTABLED.get(key) or build_field(*key)
+    fld._bind()
+    assert fld._log is None
+    p, q = fld.p, fld.q
+    n, r = q - 1, (q - 1) // (p - 1)
+    rng = random.Random(q)
+    xs = [fld.one, -fld.one, fld.g] + [fld.from_index(c) for c in (q - 1, q - 2, q - 3)]
+    xs += [fld.from_index(rng.randrange(1, q)) for _ in range(12)]
+    norm = fld._ops[4]
+    for x in xs:
+        inverse = _power_by_products(x, q - 2)
+        assert x ** -1 == inverse and fld.one / x == inverse
+        assert fld._pow(x.code, -1) == inverse.code
+        assert (x * inverse) == fld.one
+        assert norm(x.code) * fld._one == _power_by_products(x, r).code
+    y = xs[-1]
+    assert [(x / y) * y for x in xs] == xs
+    for k in (0, 1, 2, q - 2, q - 1, q, -1, -7,
+              rng.randrange(n), rng.randrange(n, 5 * n)):
+        assert fld.g ** k == _power_by_products(fld.g, k % n)
+
+
+@pytest.mark.parametrize("p,f", [(2, 16), (3, 10), (3, 11), (2, 17), (65537, 1)])
+def test_pohlig_hellman_round_trips(p, f):
+    """dlog splits over the prime powers of q - 1: 2^16 - 1 = 3 * 5 * 17 *
+    257, 3^10 - 1 = 2^3 * 11^2 * 61, 3^11 - 1 = 2 * 23 * 3851, 2^17 - 1
+    prime (one baby-step giant-step search) and 65537 - 1 = 2^16.  The
+    logs of +-1, of elements of every subgroup of prime or prime-power
+    order and of random elements are exact; the elements come from
+    products, so no log of theirs is in the memo."""
+    fld = build_field(p, f)
+    n, g = fld.q - 1, fld.g
+    rng = random.Random(n)
+    assert fld.dlog(fld.one) == 0
+    assert fld.dlog(-fld.one) == (0 if p == 2 else n // 2)
+    for ell in prime_factors(n):
+        power = ell
+        while n % power == 0:   # the subgroup of order l^i
+            for _ in range(3):
+                k = n // power * rng.randrange(1, power) % n
+                x = fld.from_index(_power_by_products(g, k).code)
+                assert fld.dlog(x) == k
+            power *= ell
+    for _ in range(10):
+        x = fld.from_index(rng.randrange(1, fld.q))
+        k = fld.dlog(x)
+        assert 0 <= k < n and _power_by_products(g, k) == x and g ** k == x
+
+
+def _presentation_by_rabin(p, f):
+    """The modulus as the smallest monic irreducible by Rabin's test alone,
+    and the generator as the smallest element with a^((q-1)/l) != 1 for
+    every prime l | q - 1, by products."""
+    fp, q = build_field(p, 1), p ** f
+    modulus = next(cand for cand in (ffield._index_coeffs(k, p, f) + (1,)
+                                     for k in range(p ** (f - 1), q))
+                   if kernel.rabin(fp, list(cand)))
+    fld = build_field(p, f, modulus=modulus)
+    primes = prime_factors(q - 1)
+    gen = next(x for x in map(fld.from_index, range(1, q))
+               if all(_power_by_products(x, (q - 1) // ell) != fld.one
+                      for ell in primes))
+    return modulus, gen.coeffs
+
+
+PRESENTATION_KEYS = [(p, f) for f in range(2, 17) for p in range(2, 257)
+                     if is_prime(p) and p ** f <= 1 << 16] + \
+    [(2, 17), (2, 18), (2, 19), (2, 20), (3, 11), (3, 12)]
+
+
+def test_presentation_has_not_moved():
+    """The root filter of the modulus search and the norm test of the
+    generator search change no field: every (p, f) with f >= 2 and q <=
+    2^16, and 2^17 ... 2^20, 3^11 and 3^12."""
+    assert len(PRESENTATION_KEYS) == 99
+    for p, f in PRESENTATION_KEYS:
+        fld = build_field(p, f)
+        assert (fld.modulus, fld.g.coeffs) == _presentation_by_rabin(p, f), (p, f)

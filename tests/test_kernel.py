@@ -171,8 +171,9 @@ def test_kernel_matches_schoolbook(fields, case):
 @settings(max_examples=100, deadline=None)
 @given(case=cases())
 def test_frobenius_step_matches_pow_mod(fields, case):
-    """One row combination of the Frobenius matrix mod h is v^q mod h, and
-    frobenius_powers gives x^(q^j) mod h as j chained pow_mod calls."""
+    """One row combination of the Frobenius matrix mod h is v^q mod h,
+    frobenius_powers gives x^(q^j) mod h as j chained pow_mod calls, and
+    trace_mod sums chained squarings by pow_mod."""
     key, a, b, _ = case
     fld = fields[key]
     H = Poly(fld, [fld.from_index(c) for c in b or [0]] + [fld.one])
@@ -187,6 +188,12 @@ def test_frobenius_step_matches_pow_mod(fields, case):
     for j in range(H.degree() + 2):
         assert tuple(frob(j)) == X.codes
         X = pow_mod(X, fld.q, H)
+    k = len(b) % 4 + 1   # trace_mod: V + V^2 + ... + V^(2^(k-1)) mod H
+    want = term = V
+    for _ in range(k - 1):
+        term = pow_mod(term, 2, H)
+        want = want + term
+    assert tuple(kernel.trace_mod(fld, list(V.codes), k, H.codes)) == want.codes
 
 
 @settings(max_examples=150, deadline=None)
@@ -297,10 +304,10 @@ def test_slot_width_follows_operand_length():
 
 @pytest.mark.parametrize("fields", [TABLED, UNTABLED], ids=["tabled", "untabled"])
 def test_moduli_are_prepared_once(fields, monkeypatch):
-    """pow_mod, frobenius_rows and rabin_holds prepare their modulus once,
-    however many reductions they make, and valuations its prime once per
-    call, for all the polynomials it divides and however many times the
-    prime divides them.  A divisor is stored as the row -b/lc(b) exactly
+    """pow_mod, trace_mod, frobenius_rows and rabin_holds prepare their
+    modulus once, however many reductions they make, and valuations its
+    prime once per call, for all the polynomials it divides and however
+    many times the prime divides them.  A divisor is stored as the row -b/lc(b) exactly
     when a coefficient may take k >= deg b row updates, and otherwise as
     b with the factor -1/lc(b) per step; here for a non-monic b over F_9
     and 3^10."""
@@ -315,6 +322,9 @@ def test_moduli_are_prepared_once(fields, monkeypatch):
     m = [g, one, 0, g, one]   # g + x + g x^3 + x^4; any monic m will do
     x = [0, one]
     kernel.pow_mod(fld, x, fld.q ** 3, m)
+    assert calls == [m]
+    calls.clear()
+    kernel.trace_mod(fld, [g, g, one], 8, m)
     assert calls == [m]
     xq = kernel.pow_mod(fld, x, fld.q, m)
     calls.clear()
